@@ -429,21 +429,17 @@ def _as_target_matrix(targets, batch: int) -> np.ndarray:
     return t.astype(np.float64)
 
 
-def cross_entropy(probs: np.ndarray, targets) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the probabilities.
+def cross_entropy(probs: np.ndarray, targets) -> float:
+    """Mean cross-entropy of probabilities the model has already produced.
 
     Targets may be class indices or full distributions (rows sum to 1).
-    Probabilities are clamped at 1e-12, which caps the loss and zeroes the
-    gradient of a saturated wrong prediction, so training does not use
-    this: it scores probabilities the model has already produced, such as
-    the validation loss in `train`.
+    Probabilities are clamped at 1e-12, which caps the loss of a saturated
+    wrong prediction, so training does not use this (it takes the loss on
+    the logits, `_logit_loss`); it scores the validation loss in `train`.
     """
     probs = np.asarray(probs, dtype=np.float64)
     y = _as_target_matrix(targets, probs.shape[0])
-    p = np.maximum(probs, 1e-12)
-    loss = float(-(y * np.log(p)).sum() / probs.shape[0])
-    dprobs = -(y / p) / probs.shape[0]
-    return loss, dprobs
+    return float(-(y * np.log(np.maximum(probs, 1e-12))).sum() / probs.shape[0])
 
 
 def _logit_loss(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
@@ -567,7 +563,7 @@ def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
         history["train_loss"].append(float(np.mean(losses)))
         if val_inputs is not None and len(val_inputs):
             probs = forward_batch(model, val_inputs)
-            val_loss, _ = cross_entropy(probs, val_targets)
+            val_loss = cross_entropy(probs, val_targets)
             history["val_loss"].append(val_loss)
             if val_loss < best_val - 1e-6:
                 best_val = val_loss
@@ -582,17 +578,19 @@ def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 # Gradient check
 
-def grad_check(model: Model, sample: np.ndarray, target,
+def grad_check(model: Model, inputs: np.ndarray, targets,
                epsilon: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Checks the gradients `train_step` applies, on a float64 copy of the
-    model with dropout disabled; intended for small models (<= a few
-    thousand parameters).
+    Checks the gradients `train_step` applies to the batch `inputs`
+    (batch, frames, channels) with `targets` (class indices or
+    distributions), including their mean over the batch, on a float64 copy
+    of the model with dropout disabled; intended for small models (<= a
+    few thousand parameters).
     """
     work = _float64_copy(model, zero_dropout=True)
-    x = np.asarray(sample, dtype=np.float64)[None, :, :]
-    y = np.asarray([target]) if np.ndim(target) <= 0 else np.asarray(target)[None]
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(targets)
 
     _, updates = _loss_and_grads(work, x, y, np.random.default_rng(0))
     analytic = [(layer, name, g) for _, layer, grads in updates

@@ -16,10 +16,9 @@ HOP_MS = 10.0
 __all__ = [
     "HOP_MS",
     "FrameSeries",
-    "Spectrum",
     "frame_signal",
-    "magnitude_spectrum",
     "magnitude_spectra",
+    "bin_frequencies",
     "default_fft_size",
     "hz_to_bark",
     "samples_for_ms",
@@ -56,19 +55,6 @@ class FrameSeries:
         return samples_for_ms(self.hop_ms, self.sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Magnitude spectrum over bins 1..K/2 (DC excluded); bin k sits at k*bin_hz."""
-
-    magnitudes: np.ndarray  # (fft_size // 2,)
-    bin_hz: float
-    fft_size: int
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return (np.arange(1, self.fft_size // 2 + 1)) * self.bin_hz
-
-
 def frame_signal(samples: np.ndarray, sample_rate_hz: int, frame_ms: float,
                  hop_ms: float = HOP_MS) -> FrameSeries:
     """Slice a signal into overlapping frames (no window).
@@ -97,11 +83,11 @@ def default_fft_size(frame_len: int) -> int:
     return k
 
 
-def magnitude_spectra(frames: np.ndarray, fft_size: int,
-                      sample_rate_hz: int) -> np.ndarray:
-    """Batch form of magnitude_spectrum: (n, frame_len) -> (n, fft_size//2).
+def magnitude_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    """Magnitude spectra of a stack of frames: (n, frame_len) -> (n, fft_size//2).
 
-    Hamming window, then zero-pad to fft_size; returns bins 1..K/2.
+    Hamming window, then zero-pad to fft_size; returns bins 1..K/2, whose
+    centre frequencies are `bin_frequencies(fft_size, sample_rate_hz)`.
     """
     frames = np.atleast_2d(frames)
     frame_len = frames.shape[1]
@@ -113,13 +99,9 @@ def magnitude_spectra(frames: np.ndarray, fft_size: int,
     return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))[:, 1:fft_size // 2 + 1]
 
 
-def magnitude_spectrum(frame: np.ndarray, fft_size: int,
-                       sample_rate_hz: int) -> Spectrum:
-    """Hamming-windowed, zero-padded magnitude spectrum of one frame."""
-    mags = magnitude_spectra(np.asarray(frame, dtype=np.float64), fft_size,
-                             sample_rate_hz)[0]
-    return Spectrum(magnitudes=mags, bin_hz=sample_rate_hz / fft_size,
-                    fft_size=fft_size)
+def bin_frequencies(fft_size: int, sample_rate_hz: int) -> np.ndarray:
+    """Centre frequency (Hz) of bins 1..K/2, the columns of magnitude_spectra."""
+    return np.arange(1, fft_size // 2 + 1) * (sample_rate_hz / fft_size)
 
 
 # Traunmueller closed form, clamped at zero so that 0 Hz maps to 0 Bark

@@ -31,11 +31,11 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "ClassMetrics", "EvalReport", "RankingRow", "RankingTable",
-    "ExperimentConfig", "PreparedUtterance", "Dataset", "f1_score",
+    "ExperimentConfig", "PreparedUtterance", "Dataset",
     "report_from_confusion", "prepare_dataset", "stratified_holdout",
-    "kfold_indices", "kfold", "train_and_evaluate", "evaluate",
+    "kfold_indices", "train_and_evaluate", "evaluate",
     "rfe_round", "ife", "combine_and_eval", "competition_ranks",
-    "run_record", "write_results_json",
+    "run_record",
 ]
 
 
@@ -73,12 +73,6 @@ def _ratio(num: int, den: int) -> float:
     return float(Fraction(num, den)) if den else 0.0
 
 
-def f1_score(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall; 0 when both are 0."""
-    s = precision + recall
-    return 2.0 * precision * recall / s if s > 0 else 0.0
-
-
 def report_from_confusion(counts: dict[tuple[str, str], int]) -> EvalReport:
     """Build an EvalReport from {(true_dialect, predicted_dialect): count}."""
     total = sum(counts.values())
@@ -113,12 +107,6 @@ class RankingTable:
     rows: tuple[RankingRow, ...]
     method: str  # "rfe" or "ife"
     evaluations: int = 0
-
-    def rank_of(self, feature_id: str) -> int:
-        for row in self.rows:
-            if row.feature_id == feature_id:
-                return row.rank
-        raise KeyError(feature_id)
 
     def gap_stats(self) -> tuple[float, float, float]:
         """(min, max, mean) gaps between successive distinct accuracies."""
@@ -244,19 +232,6 @@ def kfold_indices(labels: Sequence[str], k: int,
         train = sorted(x for j in range(k) if j != i for x in fold_members[j])
         folds.append((train, val))
     return folds
-
-
-def kfold(manifest: CorpusManifest, k: int,
-          seed: int) -> list[tuple[CorpusManifest, CorpusManifest]]:
-    """Stratified k-fold over a manifest; returns (train, validation) pairs."""
-    labels = [r.dialect for r in manifest.records]
-    pairs = []
-    for train_idx, val_idx in kfold_indices(labels, k, seed):
-        pairs.append((
-            CorpusManifest(records=tuple(manifest.records[i] for i in train_idx)),
-            CorpusManifest(records=tuple(manifest.records[i] for i in val_idx)),
-        ))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +442,3 @@ def run_record(config: ExperimentConfig, featureset: Sequence[str],
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     payload["run_id"] = digest[:12]
     return payload
-
-
-def write_results_json(path: str | Path, record: dict) -> None:
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.fft import dct
 
 from . import dsp, pitch
 from .corpus import Waveform
-from .dsp import Spectrum
 
 logger = logging.getLogger(__name__)
 
@@ -44,10 +42,9 @@ FEATURESET_NAMES = {
 __all__ = [
     "HANDCRAFTED_IDS", "MFCC_IDS", "ALL_IDS", "FEATURESET_NAMES",
     "FeatureMatrix", "NormStats", "MfccConfig", "DEFAULT_MFCC",
-    "resolve_featureset", "energy", "zcr", "jitter", "jitter_derivative",
-    "shimmer", "hnr", "spectral_centroid", "sharpness", "spectral_flux",
-    "mfcc", "mel_filterbank", "extract_matrix", "fit_norm", "apply_norm",
-    "write_feature_csv",
+    "resolve_featureset", "energy_rows", "zcr_rows", "jitter",
+    "jitter_derivative", "shimmer", "hnr", "sharpness_rows", "flux_rows",
+    "mfcc_rows", "mel_filterbank", "extract_matrix", "fit_norm", "apply_norm",
 ]
 
 
@@ -107,34 +104,50 @@ class NormStats:
 
 
 # ---------------------------------------------------------------------------
-# Scalar per-frame features
+# Row kernels: one value per frame of an (n, frame_len) frame stack or an
+# (n, fft_size//2) stack of magnitude spectra
 
-def energy(frame: np.ndarray) -> float:
-    """Sum of squared amplitudes of the frame."""
-    x = np.asarray(frame, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty frame")
-    return float(np.dot(x, x))
+def energy_rows(frames: np.ndarray) -> np.ndarray:
+    """Sum of squared amplitudes of each frame."""
+    return np.einsum("ij,ij->i", frames, frames)
 
 
-def zcr(frame: np.ndarray, sample_rate_hz: int) -> float:
-    """Sign changes per second; a zero sample defers to its neighbours."""
-    x = np.asarray(frame, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty frame")
-    crossings = _zero_crossings(x)
-    return crossings / (x.size / sample_rate_hz)
+def zcr_rows(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+    """Sign changes per second of each frame; a zero sample defers to its
+    neighbours."""
+    nonzero = frames[:, 1:] != 0.0
+    direct = (frames[:, :-1] * frames[:, 1:] < 0.0) & nonzero
+    counts = direct.sum(axis=1)
+    if frames.shape[1] >= 3:
+        mid_zero = frames[:, 1:-1] == 0.0
+        skipped = (frames[:, :-2] * frames[:, 2:] < 0.0) & mid_zero
+        counts = counts + skipped.sum(axis=1)
+    return counts / (frames.shape[1] / sample_rate_hz)
 
 
-def _zero_crossings(x: np.ndarray) -> int:
-    nonzero = x[1:] != 0.0
-    direct = (x[:-1] * x[1:] < 0.0) & nonzero
-    count = int(np.count_nonzero(direct))
-    if x.size >= 3:
-        mid_zero = x[1:-1] == 0.0
-        skipped = (x[:-2] * x[2:] < 0.0) & mid_zero
-        count += int(np.count_nonzero(skipped))
-    return count
+def sharpness_rows(mags: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+    """Spectral centroid on the Bark scale (perceived sharpness) of each
+    spectrum; 0 for a silent one."""
+    barks = dsp.hz_to_bark(dsp.bin_frequencies(2 * mags.shape[1], sample_rate_hz))
+    totals = mags.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = (mags @ barks) / totals
+    return np.where(totals > 0.0, vals, 0.0)
+
+
+def flux_rows(mags: np.ndarray) -> np.ndarray:
+    """Squared difference of each L2-normalized spectrum and the one before
+    it, in [0, 4]; 0 for the first row and wherever either is silent."""
+    norms = np.sqrt(np.einsum("ij,ij->i", mags, mags))
+    out = np.zeros(mags.shape[0])
+    ok = norms > 0.0
+    unit = np.zeros_like(mags)
+    unit[ok] = mags[ok] / norms[ok, None]
+    d = unit[1:] - unit[:-1]
+    flux = np.einsum("ij,ij->i", d, d)
+    both = ok[1:] & ok[:-1]
+    out[1:] = np.where(both, flux, 0.0)
+    return out
 
 
 def jitter(p: pitch.PeriodSequence) -> float:
@@ -201,34 +214,6 @@ def hnr(frame: np.ndarray, f0_hz: float, sample_rate_hz: int) -> float:
     return float(np.log10(np.clip(linear, *_HNR_CLAMP)))
 
 
-def spectral_centroid(spec: Spectrum) -> float:
-    """Amplitude-weighted mean frequency (Hz) over bins 1..K/2; 0 if silent."""
-    total = float(np.sum(spec.magnitudes))
-    if total <= 0.0:
-        return 0.0
-    return float(np.sum(spec.frequencies * spec.magnitudes) / total)
-
-
-def sharpness(spec: Spectrum) -> float:
-    """Spectral centroid on the Bark scale (perceived sharpness); 0 if silent."""
-    total = float(np.sum(spec.magnitudes))
-    if total <= 0.0:
-        return 0.0
-    barks = dsp.hz_to_bark(spec.frequencies)
-    return float(np.sum(barks * spec.magnitudes) / total)
-
-
-def spectral_flux(spec: Spectrum, spec_prev: Spectrum) -> float:
-    """Squared difference of successive L2-normalized spectra; in [0, 4]."""
-    a, b = spec.magnitudes, spec_prev.magnitudes
-    na = float(np.sqrt(np.dot(a, a)))
-    nb = float(np.sqrt(np.dot(b, b)))
-    if na <= 0.0 or nb <= 0.0:
-        return 0.0
-    d = a / na - b / nb
-    return float(np.dot(d, d))
-
-
 # ---------------------------------------------------------------------------
 # MFCC
 
@@ -264,8 +249,7 @@ def mel_filterbank(fft_size: int, sample_rate_hz: int,
         return _mel_cache[key]
     mel_pts = np.linspace(_hz_to_mel(cfg.f_lo_hz), _hz_to_mel(f_hi),
                           cfg.num_filters + 2)
-    bin_mels = _hz_to_mel(np.arange(1, fft_size // 2 + 1)
-                          * (sample_rate_hz / fft_size))
+    bin_mels = _hz_to_mel(dsp.bin_frequencies(fft_size, sample_rate_hz))
     bank = np.zeros((cfg.num_filters, fft_size // 2))
     for m in range(cfg.num_filters):
         lo, mid, hi = mel_pts[m], mel_pts[m + 1], mel_pts[m + 2]
@@ -276,24 +260,18 @@ def mel_filterbank(fft_size: int, sample_rate_hz: int,
     return bank
 
 
-def _mfcc_batch(frames: np.ndarray, sample_rate_hz: int,
-                cfg: MfccConfig = DEFAULT_MFCC) -> np.ndarray:
-    """(n, frame_len) -> (n, num_coeffs)."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+def mfcc_rows(frames: np.ndarray, sample_rate_hz: int,
+              cfg: MfccConfig = DEFAULT_MFCC) -> np.ndarray:
+    """Mel-frequency cepstral coefficients of each frame: (n, frame_len) ->
+    (n, num_coeffs)."""
     emphasized = np.concatenate(
         [frames[:, :1], frames[:, 1:] - cfg.pre_emphasis * frames[:, :-1]], axis=1)
     fft_size = dsp.default_fft_size(frames.shape[1])
-    mags = dsp.magnitude_spectra(emphasized, fft_size, sample_rate_hz)
+    mags = dsp.magnitude_spectra(emphasized, fft_size)
     bank = mel_filterbank(fft_size, sample_rate_hz, cfg)
     energies = mags ** 2 @ bank.T
     logs = np.log(np.maximum(energies, cfg.log_floor))
     return dct(logs, type=2, norm="ortho", axis=1)[:, :cfg.num_coeffs]
-
-
-def mfcc(frame: np.ndarray, sample_rate_hz: int,
-         cfg: MfccConfig = DEFAULT_MFCC) -> np.ndarray:
-    """Mel-frequency cepstral coefficients 0..12 of one 20 ms frame."""
-    return _mfcc_batch(frame, sample_rate_hz, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +285,10 @@ def extract_matrix(waveform: Waveform,
     """Compute the requested channels for one utterance.
 
     Prosodic channels use 60 ms frames, everything else 20 ms, all on the
-    common 10 ms hop; channels are trimmed to the shortest series length.
-    The frame count therefore follows the requested channel set: it is
-    that of the 60 ms series when any 60 ms channel is asked for, and of
-    the 20 ms series otherwise (e.g. for "mfcc" alone), which has a few
-    more frames.  One grid for every channel set is ROADMAP direction 4.
+    common 10 ms hop.  Every channel set gets the frame count of the 60 ms
+    series, floor((N - 60 ms) / 10 ms) + 1, and the 20 ms series is cut to
+    it, so frame i of any channel starts at sample i * hop and a row does
+    not depend on which other channels were asked for.
     """
     channels = resolve_featureset(featureset)
     sr = waveform.sample_rate_hz
@@ -323,62 +300,35 @@ def extract_matrix(waveform: Waveform,
     wanted = set(channels)
     vq = wanted & set(VOICE_QUALITY_IDS)
     need_pitch = bool(wanted & {"F0", "VPROB"} or vq)
-    need60 = need_pitch or "ENERGY" in wanted
-    need20 = bool(vq or wanted & {"SFLUX", "SHARP", "ZCR"}
-                  or wanted & set(MFCC_IDS))
-
-    lengths = []
-    frames60 = frames20 = None
-    if need60:
-        frames60 = dsp.frame_signal(x, sr, PROSODIC_FRAME_MS)
-        lengths.append(frames60.num_frames)
-    if need20:
-        frames20 = dsp.frame_signal(x, sr, OTHER_FRAME_MS)
-        lengths.append(frames20.num_frames)
-    num_frames = min(lengths)
-
-    f0s = vprobs = None
-    if need_pitch:
-        k60 = dsp.default_fft_size(frames60.frame_len)
-        mags60 = dsp.magnitude_spectra(frames60.frames[:num_frames], k60, sr)
-        f0s, vprobs = pitch.shs_batch(mags60, k60, sr / k60, shs_cfg)
-        voiced = vprobs >= shs_cfg.voicing_threshold
-        f0s = np.where(voiced, f0s, 0.0)
-
-    mags20 = None
-    if wanted & {"SFLUX", "SHARP"}:
-        k20 = dsp.default_fft_size(frames20.frame_len)
-        mags20 = dsp.magnitude_spectra(frames20.frames[:num_frames], k20, sr)
+    num_frames = ((x.size - dsp.samples_for_ms(PROSODIC_FRAME_MS, sr))
+                  // dsp.samples_for_ms(dsp.HOP_MS, sr) + 1)
+    if need_pitch or "ENERGY" in wanted:
+        frames60 = dsp.frame_signal(x, sr, PROSODIC_FRAME_MS).frames
+    if wanted - set(PROSODIC_IDS):
+        frames20 = dsp.frame_signal(x, sr, OTHER_FRAME_MS).frames[:num_frames]
 
     rows = {}
-    if "F0" in wanted:
-        rows["F0"] = f0s
+    if need_pitch:
+        k60 = dsp.default_fft_size(frames60.shape[1])
+        f0s, vprobs = pitch.shs_batch(dsp.magnitude_spectra(frames60, k60),
+                                      k60, sr / k60, shs_cfg)
+        f0s = np.where(vprobs >= shs_cfg.voicing_threshold, f0s, 0.0)
+        rows["F0"], rows["VPROB"] = f0s, vprobs
     if "ENERGY" in wanted:
-        fr = frames60.frames[:num_frames]
-        rows["ENERGY"] = np.einsum("ij,ij->i", fr, fr)
-    if "VPROB" in wanted:
-        rows["VPROB"] = vprobs
+        rows["ENERGY"] = energy_rows(frames60)
     if vq:
-        vq_rows = _voice_quality_rows(frames20.frames[:num_frames], f0s, sr, vq)
-        rows.update(vq_rows)
-    if "SFLUX" in wanted:
-        rows["SFLUX"] = _flux_row(mags20)
-    if "SHARP" in wanted:
-        k20 = dsp.default_fft_size(frames20.frame_len)
-        freqs = np.arange(1, k20 // 2 + 1) * (sr / k20)
-        barks = dsp.hz_to_bark(freqs)
-        totals = mags20.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = (mags20 @ barks) / totals
-        rows["SHARP"] = np.where(totals > 0.0, vals, 0.0)
+        rows.update(_voice_quality_rows(frames20, f0s, sr, vq))
+    if wanted & {"SFLUX", "SHARP"}:
+        mags20 = dsp.magnitude_spectra(frames20,
+                                       dsp.default_fft_size(frames20.shape[1]))
+        if "SFLUX" in wanted:
+            rows["SFLUX"] = flux_rows(mags20)
+        if "SHARP" in wanted:
+            rows["SHARP"] = sharpness_rows(mags20, sr)
     if "ZCR" in wanted:
-        fr = frames20.frames[:num_frames]
-        rows["ZCR"] = _zcr_rows(fr) / (fr.shape[1] / sr)
+        rows["ZCR"] = zcr_rows(frames20, sr)
     if wanted & set(MFCC_IDS):
-        coeffs = _mfcc_batch(frames20.frames[:num_frames], sr, mfcc_cfg)
-        for i, cid in enumerate(MFCC_IDS):
-            if cid in wanted:
-                rows[cid] = coeffs[:, i]
+        rows.update(zip(MFCC_IDS, mfcc_rows(frames20, sr, mfcc_cfg).T))
 
     values = np.vstack([rows[c] for c in channels])
     if not np.all(np.isfinite(values)):
@@ -413,32 +363,6 @@ def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray, sr: int,
     return out
 
 
-def _flux_row(mags: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ij,ij->i", mags, mags))
-    out = np.zeros(mags.shape[0])
-    if mags.shape[0] < 2:
-        return out
-    ok = norms > 0.0
-    unit = np.zeros_like(mags)
-    unit[ok] = mags[ok] / norms[ok, None]
-    d = unit[1:] - unit[:-1]
-    flux = np.einsum("ij,ij->i", d, d)
-    both = ok[1:] & ok[:-1]
-    out[1:] = np.where(both, flux, 0.0)
-    return out
-
-
-def _zcr_rows(frames: np.ndarray) -> np.ndarray:
-    nonzero = frames[:, 1:] != 0.0
-    direct = (frames[:, :-1] * frames[:, 1:] < 0.0) & nonzero
-    counts = direct.sum(axis=1)
-    if frames.shape[1] >= 3:
-        mid_zero = frames[:, 1:-1] == 0.0
-        skipped = (frames[:, :-2] * frames[:, 2:] < 0.0) & mid_zero
-        counts = counts + skipped.sum(axis=1)
-    return counts.astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 
@@ -465,14 +389,3 @@ def apply_norm(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     values = (matrix.values - stats.mean[:, None]) / stats.std[:, None]
     return FeatureMatrix(values=values, channel_ids=matrix.channel_ids,
                          hop_ms=matrix.hop_ms, source_id=matrix.source_id)
-
-
-# ---------------------------------------------------------------------------
-# CSV dump (CLI extract/plot)
-
-def write_feature_csv(matrix: FeatureMatrix, path: str | Path) -> None:
-    """One row per frame, header = channel ids."""
-    lines = [",".join(matrix.channel_ids)]
-    for frame in matrix.values.T:
-        lines.append(",".join(repr(float(v)) for v in frame))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

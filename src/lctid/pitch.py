@@ -14,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrum
-
 __all__ = [
     "ShsConfig",
     "DEFAULT_SHS",
-    "PitchEstimate",
     "PeriodSequence",
     "UnvoicedFrameError",
     "TooFewPeriodsError",
-    "shs_estimate",
     "shs_batch",
     "track_periods",
     "voicing_probability",
@@ -37,19 +33,11 @@ class ShsConfig:
     num_harmonics: int = 15
     compression: float = 0.84          # weight c**(h-1) on harmonic h
     points_per_octave: int = 192
-    num_candidates: int = 5
     rolloff_hz: float = 1250.0         # arctangent low-frequency rolloff knee
     voicing_threshold: float = 0.45    # frames at or above count as voiced
 
 
 DEFAULT_SHS = ShsConfig()
-
-
-@dataclass(frozen=True)
-class PitchEstimate:
-    f0_hz: float                      # 0 when unvoiced/degenerate
-    voicing_prob: float               # in [0, 1]
-    candidates: tuple[tuple[float, float], ...]  # (freq_hz, amplitude), best first
 
 
 @dataclass(frozen=True)
@@ -114,23 +102,23 @@ def _kernel(fft_size: int, bin_hz: float, cfg: ShsConfig) -> _ShsKernel:
     return _kernel_cache[key]
 
 
-def _refine_peak(s: np.ndarray, i: int, kernel: _ShsKernel) -> tuple[float, float]:
-    """Parabolic interpolation of peak i in the log-frequency domain."""
+def _refine_peak(s: np.ndarray, i: int, kernel: _ShsKernel) -> float:
+    """Frequency of peak i by parabolic interpolation in the log-frequency domain."""
     if 0 < i < s.size - 1:
         denom = s[i - 1] - 2.0 * s[i] + s[i + 1]
         if denom != 0.0:
             d = float(np.clip(0.5 * (s[i - 1] - s[i + 1]) / denom, -0.5, 0.5))
-            freq = kernel.grid_hz[i] * 2.0 ** (d * kernel.log_step)
-            amp = float(s[i] - 0.25 * (s[i - 1] - s[i + 1]) * d)
-            return freq, amp
-    return float(kernel.grid_hz[i]), float(s[i])
+            return float(kernel.grid_hz[i] * 2.0 ** (d * kernel.log_step))
+    return float(kernel.grid_hz[i])
 
 
 def shs_batch(magnitudes: np.ndarray, fft_size: int, bin_hz: float,
               cfg: ShsConfig = DEFAULT_SHS) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized f0/voicing for a stack of spectra (n, fft_size//2).
+    """f0 and voicing probability for a stack of spectra (n, fft_size//2).
 
-    Returns (f0_hz, voicing_prob) arrays of length n; degenerate rows get 0.
+    The f0 of a row is the argmax of its subharmonic sum, refined by
+    parabolic interpolation.  Returns (f0_hz, voicing_prob) arrays of
+    length n; degenerate (all-zero) rows get 0 in both.
     """
     kernel = _kernel(fft_size, bin_hz, cfg)
     mags = np.atleast_2d(magnitudes)
@@ -144,34 +132,10 @@ def shs_batch(magnitudes: np.ndarray, fft_size: int, bin_hz: float,
     idx = np.argmax(s, axis=1)
     s_eq = s / kernel.flat_response
     for r in np.nonzero(live)[0]:
-        freq, _amp = _refine_peak(s[r], int(idx[r]), kernel)
-        f0[r] = freq
+        f0[r] = _refine_peak(s[r], int(idx[r]), kernel)
         vprob[r] = voicing_probability(float(s_eq[r, idx[r]]),
                                        float(s_eq[r].mean()))
     return f0, vprob
-
-
-def shs_estimate(spec: Spectrum, cfg: ShsConfig = DEFAULT_SHS) -> PitchEstimate:
-    """Estimate f0 and voicing probability from one magnitude spectrum."""
-    kernel = _kernel(spec.fft_size, spec.bin_hz, cfg)
-    s = kernel.weights @ spec.magnitudes
-    if not np.any(s > 0.0):
-        return PitchEstimate(f0_hz=0.0, voicing_prob=0.0, candidates=())
-    # Local maxima (boundary points count against their single neighbour).
-    interior = np.zeros(s.size, dtype=bool)
-    interior[1:-1] = (s[1:-1] > s[:-2]) & (s[1:-1] >= s[2:])
-    interior[0] = s[0] > s[1]
-    interior[-1] = s[-1] > s[-2]
-    peaks = np.nonzero(interior & (s > 0.0))[0]
-    if peaks.size == 0:
-        peaks = np.array([int(np.argmax(s))])
-    order = peaks[np.argsort(s[peaks])[::-1][:cfg.num_candidates]]
-    candidates = tuple(_refine_peak(s, int(i), kernel) for i in order)
-    best = int(order[0])
-    s_eq = s / kernel.flat_response
-    vp = voicing_probability(float(s_eq[best]), float(s_eq.mean()))
-    return PitchEstimate(f0_hz=candidates[0][0], voicing_prob=vp,
-                         candidates=candidates)
 
 
 def track_periods(frame: np.ndarray, f0_hz: float, sample_rate_hz: int,

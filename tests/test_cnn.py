@@ -179,7 +179,7 @@ class TestTraining:
         model = cnn.build("CA03", 187, 10, seed=3)
         rng = np.random.default_rng(5)
         probs = cnn.forward_batch(model, rng.standard_normal((64, 187, 10)))
-        loss, _ = cnn.cross_entropy(probs, rng.integers(0, 2, 64))
+        loss = cnn.cross_entropy(probs, rng.integers(0, 2, 64))
         assert loss == pytest.approx(np.log(2.0), abs=0.1)
 
     def test_zero_loss_point_gradients_vanish(self):
@@ -284,16 +284,19 @@ class TestTraining:
 
 
 class TestGradCheck:
+    # Batches of more than one sample, so the check covers the mean over
+    # the batch in the training gradient.
+
     def test_miniature_model_below_1e4(self):
         err = cnn.grad_check(tiny_model(seed=5),
-                             np.random.default_rng(6).standard_normal((8, 2)),
-                             1, epsilon=1e-5)
+                             np.random.default_rng(6).standard_normal((2, 8, 2)),
+                             [1, 0], epsilon=1e-5)
         assert err < 1e-4
 
     def test_other_seed(self):
         err = cnn.grad_check(tiny_model(seed=12),
-                             np.random.default_rng(13).standard_normal((8, 2)),
-                             0, epsilon=1e-5)
+                             np.random.default_rng(13).standard_normal((3, 8, 2)),
+                             [0, 0, 1], epsilon=1e-5)
         assert err < 1e-4
 
 

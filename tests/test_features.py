@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lctid import dsp, features, pitch
+from lctid import cli, corpus, dsp, features, pitch
 from lctid.corpus import Waveform
-from lctid.features import (FeatureMatrix, apply_norm, energy, extract_matrix,
-                            fit_norm, hnr, jitter, jitter_derivative,
-                            mel_filterbank, mfcc, resolve_featureset,
-                            sharpness, shimmer, spectral_centroid,
-                            spectral_flux, write_feature_csv, zcr)
+from lctid.features import (FeatureMatrix, apply_norm, energy_rows,
+                            extract_matrix, fit_norm, flux_rows, hnr, jitter,
+                            jitter_derivative, mel_filterbank, mfcc_rows,
+                            resolve_featureset, sharpness_rows, shimmer,
+                            zcr_rows)
 from lctid.pitch import PeriodSequence
 from conftest import SR, harmonic_tone
 
@@ -19,29 +20,29 @@ def periods(values_s, amps=None):
     return PeriodSequence(periods_s=vals, peak_amps=np.asarray(amps, float))
 
 
-def random_spectrum(rng, fft_size=512):
-    mags = rng.uniform(0.0, 1.0, fft_size // 2)
-    return dsp.Spectrum(magnitudes=mags, bin_hz=SR / fft_size, fft_size=fft_size)
+def random_spectra(rng, n, fft_size=512):
+    """n magnitude spectra over bins 1..fft_size/2, one per row."""
+    return rng.uniform(0.0, 1.0, (n, fft_size // 2))
 
 
 class TestEnergy:
     def test_zeros(self):
-        assert energy(np.zeros(10)) == 0.0
+        assert energy_rows(np.zeros((1, 10)))[0] == 0.0
 
     def test_quarter(self):
-        assert energy(np.full(4, 0.5)) == 1.0
+        assert energy_rows(np.full((1, 4), 0.5))[0] == 1.0
 
     def test_direct_sum_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            x = rng.standard_normal(320)
-            direct = sum(float(v) * float(v) for v in x)
-            assert energy(x) == pytest.approx(direct, rel=1e-12)
+        xs = rng.standard_normal((200, 320))
+        direct = [sum(float(v) * float(v) for v in x) for x in xs]
+        assert energy_rows(xs) == pytest.approx(direct, rel=1e-12)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(100)
-        assert energy(3.0 * x) == pytest.approx(9.0 * energy(x), rel=1e-12)
+        e = energy_rows(np.stack([x, 3.0 * x]))
+        assert e[1] == pytest.approx(9.0 * e[0], rel=1e-12)
 
 
 def zcr_count_oracle(x):
@@ -59,29 +60,30 @@ def zcr_count_oracle(x):
 
 class TestZcr:
     def test_constant_positive(self):
-        assert zcr(np.ones(320), SR) == 0.0
+        assert zcr_rows(np.ones((1, 320)), SR)[0] == 0.0
 
     def test_alternating(self):
         x = np.tile([1.0, -1.0], 160)
-        assert zcr(x, SR) == 319 / 0.02
+        assert zcr_rows(x[None, :], SR)[0] == 319 / 0.02
 
     def test_100hz_sine(self):
         # phase offset puts all four ideal crossings (2 per cycle x 2 cycles)
         # strictly inside the 20 ms frame
         t = np.arange(320) / SR
         x = np.sin(2 * np.pi * 100.0 * t + np.pi / 4)
-        assert zcr(x, SR) == 200.0
+        assert zcr_rows(x[None, :], SR)[0] == 200.0
 
     def test_zero_sample_rule(self):
         assert zcr_count_oracle([1.0, 0.0, -1.0]) == 1
-        assert zcr(np.array([1.0, 0.0, -1.0]), SR) == 1 / (3 / SR)
-        assert zcr(np.array([1.0, 0.0, 1.0]), SR) == 0.0
+        rates = zcr_rows(np.array([[1.0, 0.0, -1.0], [1.0, 0.0, 1.0]]), SR)
+        assert rates[0] == 1 / (3 / SR)
+        assert rates[1] == 0.0
 
     def test_matches_oracle_on_random_frames(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            x = rng.standard_normal(320)
-            assert zcr(x, SR) == zcr_count_oracle(x) / 0.02
+        xs = rng.standard_normal((100, 320))
+        expected = np.array([zcr_count_oracle(x) for x in xs]) / 0.02
+        assert np.array_equal(zcr_rows(xs, SR), expected)
 
 
 class TestJitterFamily:
@@ -167,96 +169,65 @@ class TestHnr:
 
 
 class TestSpectralFeatures:
-    def test_centroid_single_bin(self):
-        mags = np.zeros(256)
-        mags[39] = 2.0  # bin 40
-        spec = dsp.Spectrum(mags, SR / 512, 512)
-        assert spectral_centroid(spec) == pytest.approx(40 * SR / 512)
-
-    def test_centroid_two_equal_bins(self):
-        mags = np.zeros(256)
-        mags[9] = 1.0
-        mags[49] = 1.0
-        spec = dsp.Spectrum(mags, SR / 512, 512)
-        f1, f2 = 10 * SR / 512, 50 * SR / 512
-        assert spectral_centroid(spec) == pytest.approx((f1 + f2) / 2)
-
-    def test_centroid_zero_spectrum(self):
-        assert spectral_centroid(dsp.Spectrum(np.zeros(256), SR / 512, 512)) == 0.0
-
-    def test_centroid_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            spec = random_spectrum(rng)
-            num = sum(float((k + 1) * spec.bin_hz) * float(m)
-                      for k, m in enumerate(spec.magnitudes))
-            den = sum(float(m) for m in spec.magnitudes)
-            assert spectral_centroid(spec) == pytest.approx(num / den, rel=1e-9)
-
     def test_sharpness_single_bin(self):
-        mags = np.zeros(256)
-        mags[99] = 1.0
-        spec = dsp.Spectrum(mags, SR / 512, 512)
-        assert sharpness(spec) == pytest.approx(dsp.hz_to_bark(100 * SR / 512))
+        mags = np.zeros((1, 256))
+        mags[0, 99] = 1.0  # bin 100
+        assert sharpness_rows(mags, SR)[0] == \
+            pytest.approx(dsp.hz_to_bark(100 * SR / 512))
 
     def test_sharpness_scale_invariant(self):
-        rng = np.random.default_rng(4)
-        spec = random_spectrum(rng)
-        doubled = dsp.Spectrum(2.0 * spec.magnitudes, spec.bin_hz, spec.fft_size)
-        assert sharpness(doubled) == pytest.approx(sharpness(spec), rel=1e-12)
+        mags = random_spectra(np.random.default_rng(4), 1)
+        sharp = sharpness_rows(np.vstack([mags, 2.0 * mags]), SR)
+        assert sharp[1] == pytest.approx(sharp[0], rel=1e-12)
 
     def test_sharpness_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            spec = random_spectrum(rng)
-            num = sum(dsp.hz_to_bark(float((k + 1) * spec.bin_hz)) * float(m)
-                      for k, m in enumerate(spec.magnitudes))
-            den = sum(float(m) for m in spec.magnitudes)
-            assert sharpness(spec) == pytest.approx(num / den, rel=1e-9)
+        mags = random_spectra(np.random.default_rng(5), 200)
+        barks = [dsp.hz_to_bark(float((k + 1) * SR / 512)) for k in range(256)]
+        direct = [sum(z * float(m) for z, m in zip(barks, row)) / sum(map(float, row))
+                  for row in mags]
+        assert sharpness_rows(mags, SR) == pytest.approx(direct, rel=1e-9)
+
+    # The flux of spectrum a against its predecessor b is row 1 of
+    # flux_rows([b, a]).
 
     def test_flux_identical(self):
-        rng = np.random.default_rng(6)
-        spec = random_spectrum(rng)
-        assert spectral_flux(spec, spec) == 0.0
+        mags = random_spectra(np.random.default_rng(6), 1)
+        assert flux_rows(np.vstack([mags, mags]))[1] == 0.0
 
     def test_flux_disjoint_unit(self):
         a = np.zeros(256)
         b = np.zeros(256)
         a[10] = 3.0
         b[200] = 0.5
-        sa = dsp.Spectrum(a, SR / 512, 512)
-        sb = dsp.Spectrum(b, SR / 512, 512)
-        assert spectral_flux(sa, sb) == pytest.approx(2.0)
+        assert flux_rows(np.stack([b, a]))[1] == pytest.approx(2.0)
 
     def test_flux_scale_invariant(self):
-        rng = np.random.default_rng(7)
-        spec = random_spectrum(rng)
-        doubled = dsp.Spectrum(2.0 * spec.magnitudes, spec.bin_hz, spec.fft_size)
-        assert spectral_flux(spec, doubled) == 0.0
+        mags = random_spectra(np.random.default_rng(7), 1)
+        assert flux_rows(np.vstack([2.0 * mags, mags]))[1] == 0.0
 
     def test_flux_zero_spectrum(self):
-        rng = np.random.default_rng(8)
-        spec = random_spectrum(rng)
-        zero = dsp.Spectrum(np.zeros(256), SR / 512, 512)
-        assert spectral_flux(spec, zero) == 0.0
+        mags = random_spectra(np.random.default_rng(8), 1)
+        assert flux_rows(np.vstack([np.zeros((1, 256)), mags]))[1] == 0.0
 
     def test_flux_range_and_oracle(self):
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            sa = random_spectrum(rng)
-            sb = random_spectrum(rng)
-            na = np.sqrt(sum(float(v) ** 2 for v in sa.magnitudes))
-            nb = np.sqrt(sum(float(v) ** 2 for v in sb.magnitudes))
-            direct = sum((float(x) / na - float(y) / nb) ** 2
-                         for x, y in zip(sa.magnitudes, sb.magnitudes))
-            got = spectral_flux(sa, sb)
-            assert got == pytest.approx(direct, rel=1e-9)
-            assert 0.0 <= got <= 4.0
+        a = random_spectra(rng, 200)
+        b = random_spectra(rng, 200)
+        direct = []
+        for sa, sb in zip(a, b):
+            na = np.sqrt(sum(float(v) ** 2 for v in sa))
+            nb = np.sqrt(sum(float(v) ** 2 for v in sb))
+            direct.append(sum((float(x) / na - float(y) / nb) ** 2
+                              for x, y in zip(sa, sb)))
+        # rows b0, a0, b1, a1, ...: odd row 2i + 1 holds the flux of a_i against b_i
+        got = flux_rows(np.stack([b, a], axis=1).reshape(400, 256))[1::2]
+        assert got == pytest.approx(direct, rel=1e-9)
+        assert np.all((got >= 0.0) & (got <= 4.0))
 
 
 class TestMfcc:
     def test_zero_frame_floor_vector(self):
-        c = mfcc(np.zeros(320), SR)
+        c = mfcc_rows(np.zeros((1, 320)), SR)[0]
         expected_c0 = 26 * np.log(1e-10) * np.sqrt(1.0 / 26)
         assert c.shape == (13,)
         assert c[0] == pytest.approx(expected_c0, rel=1e-12)
@@ -265,11 +236,10 @@ class TestMfcc:
     def test_noise_vs_tone_distance(self):
         rng = np.random.default_rng(3)
         t = np.arange(320) / SR
-        noise_mean = np.mean([mfcc(0.1 * rng.standard_normal(320), SR)
-                              for _ in range(40)], axis=0)
-        tone_mean = np.mean([mfcc(0.5 * np.sin(2 * np.pi * 300 * t
-                                               + rng.uniform(0, 2 * np.pi)), SR)
-                             for _ in range(40)], axis=0)
+        noise = 0.1 * rng.standard_normal((40, 320))
+        tones = 0.5 * np.sin(2 * np.pi * 300 * t + rng.uniform(0, 2 * np.pi, (40, 1)))
+        noise_mean = mfcc_rows(noise, SR).mean(axis=0)
+        tone_mean = mfcc_rows(tones, SR).mean(axis=0)
         assert np.linalg.norm(noise_mean - tone_mean) > 1.0
 
     def test_filterbank_partition(self):
@@ -339,16 +309,36 @@ class TestExtractMatrix:
         rng = np.random.default_rng(2)
         w = Waveform(0.1 * rng.standard_normal(SR // 4), SR)
         m = extract_matrix(w, "mfcc")
-        assert m.values.shape == (13, 24)  # floor((4000-320)/160)+1
+        assert m.values.shape == (13, 20)  # floor((4000-960)/160)+1: the 60 ms grid
 
     def test_subset_channels(self):
         rng = np.random.default_rng(3)
         w = Waveform(0.1 * rng.standard_normal(SR // 2), SR)
-        m = extract_matrix(w, ["ZCR", "ENERGY"])
-        assert m.channel_ids == ("ENERGY", "ZCR")
-        full = extract_matrix(w, "handcrafted")
-        assert np.array_equal(m.channels(["ZCR"]).values,
-                              full.channels(["ZCR"]).values)
+        assert extract_matrix(w, ["ZCR", "ENERGY"]).channel_ids == ("ENERGY", "ZCR")
+        for subset, reference in ((["ZCR", "ENERGY"], "handcrafted"),
+                                  ("mfcc", "all")):
+            m = extract_matrix(w, subset)
+            full = extract_matrix(w, reference)
+            assert np.array_equal(m.values, full.channels(m.channel_ids).values)
+
+    @settings(max_examples=12, deadline=None)
+    @given(num_samples=st.integers(SR // 10, SR // 2),
+           f0=st.floats(90.0, 300.0),
+           seed=st.integers(0, 2 ** 16),
+           subset=st.sets(st.sampled_from(features.ALL_IDS), min_size=1))
+    def test_one_grid_for_every_channel_set(self, num_samples, f0, seed, subset):
+        # A harmonic tone in light noise, so that the pitch and voice-quality
+        # channels see voiced frames.
+        rng = np.random.default_rng(seed)
+        x = harmonic_tone(f0, 5, n=num_samples, seed=seed)
+        x = 0.1 * x / np.abs(x).max() + 0.01 * rng.standard_normal(num_samples)
+        w = Waveform(x, SR)
+        full = extract_matrix(w, "all")
+        m = extract_matrix(w, subset)
+        frames = (num_samples - 960) // 160 + 1
+        assert full.num_frames == frames
+        assert m.num_frames == frames
+        assert np.array_equal(m.values, full.channels(m.channel_ids).values)
 
 
 class TestNorm:
@@ -392,13 +382,25 @@ class TestNorm:
 
 
 def test_feature_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    m = FeatureMatrix(values=rng.standard_normal((3, 7)),
-                      channel_ids=("F0", "ENERGY", "ZCR"))
-    path = tmp_path / "f.csv"
-    write_feature_csv(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "F0,ENERGY,ZCR"
-    assert len(lines) == 8
-    back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(back.T, m.values)
+    """`lctid extract` writes one CSV per utterance that reads back exactly."""
+    wav_dir = tmp_path / "wav"
+    manifest = corpus.synth_corpus(
+        corpus.SynthSpec(num_utterances=2, dur_min_s=0.3, dur_max_s=0.5,
+                         out_dir=str(wav_dir)), seed=3)
+    out = tmp_path / "csv"
+    ids = "F0,ENERGY,ZCR,MFCC_0"
+    assert cli.main(["extract", "--manifest", str(wav_dir / "manifest.tsv"),
+                     "--features", ids, "--out", str(out)]) == 0
+    index = (out / "index.csv").read_text().splitlines()
+    assert index[0] == "id,dialect,csv,frames"
+    assert len(index) == 3
+    for record, line in zip(manifest.records, index[1:]):
+        expected = extract_matrix(corpus.read_wav(record.audio_path), ids)
+        uid, dialect, csv_name, frames = line.split(",")
+        assert (uid, dialect, int(frames)) == (record.id, record.dialect,
+                                               expected.num_frames)
+        lines = (out / csv_name).read_text().splitlines()
+        assert lines[0] == ids
+        assert len(lines) == expected.num_frames + 1
+        back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(back.T, expected.values)
