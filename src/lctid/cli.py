@@ -1,9 +1,11 @@
 """Command-line surface: synth, extract, plot, train, eval, ablate, combine.
 
 Every run is deterministic given identical flags and seed; results files
-embed the resolved configuration.  A flat ``key = value`` config file can
-preset any flag (flags win).  Seed resolution: --seed flag, then the
-LCTID_SEED environment variable, then 0.
+embed the resolved configuration.  A flat ``key = value`` config file
+(``--config``, before the subcommand) can preset any flag; flags win, and
+a key no subcommand knows is a usage error.  Seed resolution: --seed flag,
+then the LCTID_SEED environment variable, then 0.  ``train`` writes
+``model.lct``, which is all that ``eval`` needs, and ``results.json``.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -19,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cnn, experiments, features
+from . import cnn, dsp, experiments, features
 from .corpus import (CorpusError, CorpusManifest, SynthSpec,
                      derive_balanced_subset, load_manifest, read_wav,
                      synth_corpus)
-from .features import NormStats, extract_matrix, resolve_featureset
+from .features import extract_matrix, resolve_featureset
 
 logger = logging.getLogger("lctid")
 
@@ -62,7 +64,11 @@ def parse_hours(text: str) -> float:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines; '#' starts a comment.
+
+    Values stay strings, which argparse converts with each flag's type;
+    true and false become booleans for on/off flags.
+    """
     values: dict = {}
     for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -71,19 +77,9 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{i}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
         val = val.strip().strip("\"'")
-        if val.lower() in ("true", "false"):
-            parsed: object = val.lower() == "true"
-        else:
-            try:
-                parsed = int(val)
-            except ValueError:
-                try:
-                    parsed = float(val)
-                except ValueError:
-                    parsed = val
-        values[key] = parsed
+        values[key.strip().replace("-", "_")] = {
+            "true": True, "false": False}.get(val.lower(), val)
     return values
 
 
@@ -242,7 +238,7 @@ def cmd_plot(args) -> int:
         wave = read_wav(wav)
         mat = extract_matrix(wave, [feature_id], source_id=Path(wav).stem)
         vals = mat.values[0]
-        times = np.arange(vals.size) * mat.hop_ms / 1000.0
+        times = np.arange(vals.size) * dsp.HOP_MS / 1000.0
         panels.append((f"{tag}: {Path(wav).name}", times, vals))
         for i, (t, v) in enumerate(zip(times, vals)):
             csv_lines.append(f"{tag},{i},{t!r},{float(v)!r}")
@@ -267,13 +263,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.lct"
-    cnn.save(model, model_path)
-    norm: NormStats = aux["norm"]
-    _atomic_write_text(out / "norm.json", json.dumps({
-        "channel_ids": list(norm.channel_ids),
-        "mean": [repr(float(v)) for v in norm.mean],
-        "std": [repr(float(v)) for v in norm.std],
-    }, indent=2, sort_keys=True) + "\n")
+    cnn.save(model, aux["norm"], model_path)
     record = experiments.run_record(config, channels, [report], extra={
         "command": "train",
         "manifest": str(args.manifest),
@@ -289,20 +279,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_norm(path: Path) -> NormStats:
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return NormStats(mean=np.array([float(v) for v in data["mean"]]),
-                     std=np.array([float(v) for v in data["std"]]),
-                     channel_ids=tuple(data["channel_ids"]))
-
-
 def cmd_eval(args) -> int:
-    model = cnn.load(args.model)
-    norm_path = Path(args.norm) if args.norm else Path(args.model).parent / "norm.json"
-    norm = _load_norm(norm_path)
+    model, norm = cnn.load(args.model)
     manifest = load_manifest(args.manifest)
-    report = experiments.evaluate(model, manifest, args.features, norm,
-                                  jobs=args.jobs)
+    report = experiments.evaluate(model, norm, manifest, jobs=args.jobs)
     _print_report(report)
     if args.out:
         _atomic_write_text(Path(args.out),
@@ -415,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a saved model on a manifest")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--features", default="handcrafted")
-    p.add_argument("--norm", default=None,
-                   help="norm.json path (default: next to the model)")
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_eval)
@@ -451,15 +428,24 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     # Config file values become parser defaults; explicit flags still win.
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
+    if cfg_path is not None:
         try:
             overrides = _parse_config_file(cfg_path)
         except (OSError, ValueError) as exc:
             parser.error(f"bad config file: {exc}")
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        known: set = set()
+        for sp in (parser, *subparsers):
+            dests = {a.dest for a in sp._actions}
+            sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+            known |= dests
+        unknown = sorted(set(overrides) - known)
+        if unknown:
+            parser.error(f"config file {cfg_path}: unknown key(s): "
+                         + ", ".join(unknown))
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,

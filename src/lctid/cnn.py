@@ -7,26 +7,31 @@ bit-exactly) while activations and gradients flow in float64.
 
 Architectures: two pairs of convolutional layers, each pair followed by
 max-pooling and dropout, then one or two ReLU dense layers and a final
-2-way softmax.  CA01 uses kernels [10, 10, 5, 5]; CA02/CA03 use
+2-way dense classifier.  CA01 uses kernels [10, 10, 5, 5]; CA02/CA03 use
 [7, 7, 3, 3]; CA03 has dense widths [1024, 512] instead of [1024].
 
-Training takes the cross-entropy on the logits (the input to the final
-softmax) and backpropagates its gradient p - y from there, so a saturated
-wrong prediction keeps a gradient of full size instead of a clamped zero.
+The network ends at its logits; `forward_batch` applies the softmax.
+Training takes the cross-entropy on the logits and backpropagates its
+gradient p - y from there, so a saturated wrong prediction keeps a
+gradient of full size instead of a clamped zero.  A model file also holds
+the channel ids and z-score statistics the model was trained on.
 """
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .features import ALL_IDS, NormStats
+
 __all__ = [
     "ARCHITECTURES", "CONV_CHANNELS", "ShapeMismatchError", "ModelFileError",
     "TrainingDivergedError", "Conv1D", "ReLU", "MaxPool", "Dropout",
-    "Flatten", "Dense", "Softmax", "Model", "TrainConfig", "build",
+    "Flatten", "Dense", "Model", "TrainConfig", "build",
     "forward", "forward_batch", "cross_entropy", "train_step", "train",
     "grad_check", "save", "load", "default_optimizer", "default_learning_rate",
 ]
@@ -251,28 +256,12 @@ class Dense:
         _gradient_step(self, grads, lr)
 
 
-class Softmax:
-    kind = "softmax"
-    num_params = 0
-
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def forward(self, x):
-        return _softmax(x)[0], None
-
-
 def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax probabilities and log-probabilities of logits."""
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return e / total, shifted - np.log(total)
-
-
-_LAYER_KINDS = {0: "conv", 1: "relu", 2: "maxpool", 3: "dropout",
-                4: "flatten", 5: "dense", 6: "softmax"}
-_KIND_CODES = {v: k for k, v in _LAYER_KINDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +364,6 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
         layers.append(Dropout(dense_dropout))
         units = width
     layers.append(Dense(units, NUM_CLASSES))  # zero-initialized classifier
-    layers.append(Softmax())
 
     return Model(layers=layers, arch_id=arch_id, input_frames=input_frames,
                  in_channels=in_channels, rng_seed=seed)
@@ -389,25 +377,23 @@ def forward_batch(model: Model, x: np.ndarray, train: bool = False,
                   want_caches: bool = False, logits: bool = False):
     """(B, frames, channels) -> (B, 2) activations; caches when training.
 
-    With `logits` the final softmax is not applied and the output is its
-    input.
+    With `logits` the output is the last layer's, before the softmax.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (model.input_frames, model.in_channels):
         raise ShapeMismatchError(
             f"input shape {x.shape[1:]} does not match model input "
             f"({model.input_frames}, {model.in_channels})")
-    layers = model.layers
-    if logits and layers and isinstance(layers[-1], Softmax):
-        layers = layers[:-1]
     caches = []
-    for layer in layers:
+    for layer in model.layers:
         if isinstance(layer, Dropout):
             x, cache = layer.forward(x, rng if train else None)
         else:
             x, cache = layer.forward(x)
         if want_caches:
             caches.append(cache)
+    if not logits:
+        x = _softmax(x)[0]
     return (x, caches) if want_caches else x
 
 
@@ -588,7 +574,7 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
     of the model with dropout disabled; intended for small models (<= a
     few thousand parameters).
     """
-    work = _float64_copy(model, zero_dropout=True)
+    work = _float64_copy(model)
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets)
 
@@ -619,62 +605,69 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
     return worst
 
 
-def _float64_copy(model: Model, zero_dropout: bool = False) -> Model:
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer, Conv1D):
-            c = Conv1D(layer.kernel_len, layer.in_channels, layer.out_channels)
-            c.weights = layer.weights.astype(np.float64)
-            c.biases = layer.biases.astype(np.float64)
-            layers.append(c)
-        elif isinstance(layer, Dense):
-            d = Dense(layer.in_features, layer.out_features)
-            d.weights = layer.weights.astype(np.float64)
-            d.biases = layer.biases.astype(np.float64)
-            layers.append(d)
+def _float64_copy(model: Model) -> Model:
+    """A copy with float64 parameters and dropout off."""
+    work = copy.deepcopy(model)
+    for layer in work.layers:
+        if isinstance(layer, (Conv1D, Dense)):
+            layer.weights = layer.weights.astype(np.float64)
+            layer.biases = layer.biases.astype(np.float64)
         elif isinstance(layer, Dropout):
-            layers.append(Dropout(0.0 if zero_dropout else layer.rate))
-        elif isinstance(layer, MaxPool):
-            layers.append(MaxPool(layer.width))
-        else:
-            layers.append(type(layer)())
-    return Model(layers=layers, arch_id=model.arch_id,
-                 input_frames=model.input_frames,
-                 in_channels=model.in_channels, rng_seed=model.rng_seed)
+            layer.rate = 0.0
+    return work
 
 
 # ---------------------------------------------------------------------------
-# Serialization: magic "LCT1", version, arch, seed, input shape, then layers
-# with little-endian float32 parameters.
+# Serialization, little-endian.  Version 2: magic "LCT1", version <H, arch
+# id, seed <Q, input_frames <I, in_channels <I; the channel count <I, then
+# per channel its id and its z-score mean and std as <f8, so inference
+# normalises bit-exactly as training did; the layer count <I, then per
+# layer its kind code <B and the fields of _LAYER_CODES.  Text is a <B
+# length plus UTF-8.  The network ends at its logits, so no softmax record.
+# Version 1 held no channels or statistics and is rejected.
 
 _MAGIC = b"LCT1"
-_VERSION = 1
+_VERSION = 2
+
+# Kind code -> layer class, struct format and the constructor arguments it
+# stores.  Conv1D and Dense follow them with float32 weights, shaped as
+# those arguments, and biases.
+_LAYER_CODES = {
+    0: (Conv1D, "<III", ("kernel_len", "in_channels", "out_channels")),
+    1: (ReLU, "<", ()),
+    2: (MaxPool, "<I", ("width",)),
+    3: (Dropout, "<d", ("rate",)),
+    4: (Flatten, "<", ()),
+    5: (Dense, "<II", ("in_features", "out_features")),
+}
+_CODE_OF = {cls: code for code, (cls, _, _) in _LAYER_CODES.items()}
 
 
-def save(model: Model, path: str | Path) -> None:
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<H", _VERSION)
-    arch = model.arch_id.encode("utf-8")
-    out += struct.pack("<B", len(arch)) + arch
-    out += struct.pack("<QII", model.rng_seed, model.input_frames,
-                       model.in_channels)
+def _text(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return struct.pack("<B", len(raw)) + raw
+
+
+def save(model: Model, norm: NormStats, path: str | Path) -> None:
+    """Write the model with the channels and normalisation it was trained on."""
+    if not (len(norm.channel_ids) == len(norm.mean) == len(norm.std)
+            == model.in_channels):
+        raise ValueError(f"normalisation has {len(norm.channel_ids)} channels "
+                         f"but the model takes {model.in_channels}")
+    out = bytearray(_MAGIC + struct.pack("<H", _VERSION) + _text(model.arch_id))
+    out += struct.pack("<QIII", model.rng_seed, model.input_frames,
+                       model.in_channels, len(norm.channel_ids))
+    for channel_id, mean, std in zip(norm.channel_ids, norm.mean, norm.std):
+        out += _text(channel_id) + struct.pack("<dd", mean, std)
     out += struct.pack("<I", len(model.layers))
     for layer in model.layers:
-        out += struct.pack("<B", _KIND_CODES[layer.kind])
-        if isinstance(layer, Conv1D):
-            out += struct.pack("<III", layer.kernel_len, layer.in_channels,
-                               layer.out_channels)
+        code = _CODE_OF[type(layer)]
+        _, fmt, names = _LAYER_CODES[code]
+        out += struct.pack("<B", code)
+        out += struct.pack(fmt, *(getattr(layer, n) for n in names))
+        if isinstance(layer, (Conv1D, Dense)):
             out += layer.weights.astype("<f4").tobytes()
             out += layer.biases.astype("<f4").tobytes()
-        elif isinstance(layer, Dense):
-            out += struct.pack("<II", layer.in_features, layer.out_features)
-            out += layer.weights.astype("<f4").tobytes()
-            out += layer.biases.astype("<f4").tobytes()
-        elif isinstance(layer, MaxPool):
-            out += struct.pack("<I", layer.width)
-        elif isinstance(layer, Dropout):
-            out += struct.pack("<d", layer.rate)
     Path(path).write_bytes(bytes(out))
 
 
@@ -696,47 +689,61 @@ class _Reader:
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
 
+    def text(self) -> str:
+        return self.take(self.unpack("<B")[0]).decode("utf-8")
 
-def load(path: str | Path) -> Model:
+
+def _read_norm(r: _Reader, in_channels: int) -> NormStats:
+    (count,) = r.unpack("<I")
+    if count != in_channels:
+        raise ModelFileError(f"model file lists {count} channels for an "
+                             f"input of {in_channels}")
+    ids: list[str] = []
+    stats = []
+    for _ in range(count):
+        channel_id = r.text()
+        if channel_id not in ALL_IDS or channel_id in ids:
+            raise ModelFileError(f"unknown or repeated channel id "
+                                 f"{channel_id!r} in model file")
+        ids.append(channel_id)
+        stats.append(r.unpack("<dd"))
+    mean, std = np.array(stats, dtype=np.float64).reshape(count, 2).T.copy()
+    if not (np.isfinite(stats).all() and (std > 0.0).all()):
+        raise ModelFileError("model file holds a non-finite mean or a "
+                             "non-finite or non-positive std")
+    return NormStats(mean=mean, std=std, channel_ids=tuple(ids))
+
+
+def load(path: str | Path) -> tuple[Model, NormStats]:
+    """Read a version-2 model file: the model and its normalisation."""
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != _MAGIC:
         raise ModelFileError("not a model file (bad magic)")
     (version,) = r.unpack("<H")
+    if version == 1:
+        raise ModelFileError(
+            "model file version 1 holds no channel ids or normalisation "
+            "statistics; retrain the model to write version 2")
     if version != _VERSION:
         raise ModelFileError(f"unsupported model file version {version}")
-    (arch_len,) = r.unpack("<B")
-    arch_id = r.take(arch_len).decode("utf-8")
+    arch_id = r.text()
     seed, input_frames, in_channels = r.unpack("<QII")
+    norm = _read_norm(r, in_channels)
     (n_layers,) = r.unpack("<I")
     layers: list = []
     for _ in range(n_layers):
         (code,) = r.unpack("<B")
-        kind = _LAYER_KINDS.get(code)
-        if kind is None:
+        if code not in _LAYER_CODES:
             raise ModelFileError(f"unknown layer kind code {code}")
-        if kind == "conv":
-            k, cin, cout = r.unpack("<III")
-            w = r.floats(k * cin * cout).reshape(k, cin, cout)
-            b = r.floats(cout)
-            layers.append(Conv1D(k, cin, cout, weights=w, biases=b))
-        elif kind == "dense":
-            fin, fout = r.unpack("<II")
-            w = r.floats(fin * fout).reshape(fin, fout)
-            b = r.floats(fout)
-            layers.append(Dense(fin, fout, weights=w, biases=b))
-        elif kind == "maxpool":
-            (width,) = r.unpack("<I")
-            layers.append(MaxPool(width))
-        elif kind == "dropout":
-            (rate,) = r.unpack("<d")
-            layers.append(Dropout(rate))
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "flatten":
-            layers.append(Flatten())
-        elif kind == "softmax":
-            layers.append(Softmax())
+        cls, fmt, _ = _LAYER_CODES[code]
+        args = r.unpack(fmt)
+        if cls in (Conv1D, Dense):
+            weights = r.floats(int(np.prod(args))).reshape(args)
+            layers.append(cls(*args, weights=weights, biases=r.floats(args[-1])))
+        else:
+            layers.append(cls(*args))
     if r.pos != len(r.data):
         raise ModelFileError("trailing bytes in model file")
-    return Model(layers=layers, arch_id=arch_id, input_frames=input_frames,
-                 in_channels=in_channels, rng_seed=seed)
+    model = Model(layers=layers, arch_id=arch_id, input_frames=input_frames,
+                  in_channels=in_channels, rng_seed=seed)
+    return model, norm

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -346,7 +345,11 @@ def _synth_utterance(rng: np.random.Generator, dialect: str, dur_s: float,
 
 
 def synth_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
-    """Generate WAV files plus a manifest.tsv; deterministic for a given seed."""
+    """Generate WAV files plus a manifest.tsv; deterministic for a given seed.
+
+    The manifest file names each WAV relative to its own directory; the
+    returned manifest holds the paths as `load_manifest` resolves them.
+    """
     out = Path(spec.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -365,10 +368,10 @@ def synth_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         uid = f"{dialect.lower()}_{i:04d}"
         wav_path = out / f"{uid}.wav"
         write_wav(wav_path, Waveform(samples, spec.sample_rate_hz))
-        records.append(UtteranceRecord(id=uid, audio_path=str(wav_path),
+        records.append(UtteranceRecord(id=uid, audio_path=wav_path.name,
                                        dialect=dialect,
                                        duration_s=wav_duration_s(wav_path)))
-    manifest = CorpusManifest(records=tuple(records))
-    save_manifest(manifest, out / "manifest.tsv")
+    save_manifest(CorpusManifest(records=tuple(records)), out / "manifest.tsv")
     logger.info("synthesized %d utterances under %s", len(records), out)
-    return manifest
+    return CorpusManifest(records=tuple(
+        replace(r, audio_path=str(out / r.audio_path)) for r in records))

@@ -15,14 +15,14 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import cnn, segmenter
+from . import cnn, dsp, segmenter
 from .corpus import DIALECTS, CorpusManifest, load_audio
 from .features import (FeatureMatrix, NormStats, apply_norm, extract_matrix,
                        fit_norm, resolve_featureset)
@@ -247,23 +247,21 @@ class ExperimentConfig:
     val_fraction: float = 0.0  # carved out of train for early stopping
 
 
-def _segments_for(utterances, channels, norm: NormStats,
-                  seg_duration_s: float):
-    xs, ys, owners = [], [], []
+def _segments_for(utterances, norm: NormStats, seg_duration_s: float):
+    xs, ys = [], []
     for u in utterances:
-        mat = apply_norm(u.matrix.channels(channels), norm)
+        mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
         for seg in segmenter.split(mat, seg_duration_s, label=u.dialect):
             xs.append(seg.matrix.T)  # frames x channels
             ys.append(DIALECTS.index(u.dialect))
-            owners.append(u.id)
-    return np.asarray(xs), np.asarray(ys), owners
+    return np.asarray(xs), np.asarray(ys)
 
 
-def _evaluate_prepared(model: cnn.Model, utterances, channels,
-                       norm: NormStats, seg_duration_s: float) -> EvalReport:
+def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
+                       seg_duration_s: float) -> EvalReport:
     counts: dict[tuple[str, str], int] = {}
     for u in utterances:
-        mat = apply_norm(u.matrix.channels(channels), norm)
+        mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
         segs = segmenter.split(mat, seg_duration_s)
         acts = cnn.forward_batch(model, np.asarray([s.matrix.T for s in segs]))
         decided = segmenter.aggregate(acts)
@@ -299,35 +297,33 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
         val_utts = [train_utts[i] for i in va]
         train_utts = [train_utts[i] for i in tr]
 
-    xs, ys, _ = _segments_for(train_utts, channels, norm, seg_duration_s)
+    xs, ys = _segments_for(train_utts, norm, seg_duration_s)
     model = cnn.build(config.arch_id, input_frames=seg_len,
                       in_channels=len(channels), seed=config.train.seed,
                       conv_dropout=config.train.conv_dropout,
                       dense_dropout=config.train.dense_dropout)
     val_args = {}
     if val_utts:
-        vx, vy, _ = _segments_for(val_utts, channels, norm, seg_duration_s)
+        vx, vy = _segments_for(val_utts, norm, seg_duration_s)
         val_args = {"val_inputs": vx, "val_targets": vy}
     history = cnn.train(model, xs, ys, config.train, **val_args)
-    report = _evaluate_prepared(model, test_utts, channels, norm, seg_duration_s)
+    report = _evaluate_prepared(model, test_utts, norm, seg_duration_s)
     aux = {"history": history, "norm": norm, "segment_duration_s": seg_duration_s,
            "num_train_segments": int(len(xs))}
     return report, model, aux
 
 
-def evaluate(model: cnn.Model, manifest: CorpusManifest,
-             featureset: str | Iterable[str], norm: NormStats,
+def evaluate(model: cnn.Model, norm: NormStats, manifest: CorpusManifest,
              jobs: int = 1) -> EvalReport:
-    """Score a trained model on a manifest; decisions are per utterance."""
-    channels = resolve_featureset(featureset)
-    if len(channels) != model.in_channels:
-        raise cnn.ShapeMismatchError(
-            f"feature set has {len(channels)} channels but the model "
-            f"expects {model.in_channels}")
-    dataset = prepare_dataset(manifest, channels, jobs=jobs)
-    seg_duration_s = model.input_frames / 100.0
-    return _evaluate_prepared(model, dataset.utterances, channels, norm,
-                              seg_duration_s)
+    """Score a trained model on a manifest; decisions are per utterance.
+
+    `model` and `norm` are what `cnn.load` returns: the channels extracted
+    are `norm.channel_ids`, normalised with its statistics, and the segment
+    length is the model's `input_frames` on the `dsp.HOP_MS` grid.
+    """
+    dataset = prepare_dataset(manifest, norm.channel_ids, jobs=jobs)
+    seg_duration_s = model.input_frames * dsp.HOP_MS / 1000.0
+    return _evaluate_prepared(model, dataset.utterances, norm, seg_duration_s)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +408,8 @@ def combine_and_eval(base: str | Iterable[str], extra: str | Iterable[str],
 
 def run_record(config: ExperimentConfig, featureset: Sequence[str],
                fold_reports: Sequence[EvalReport], extra: dict | None = None) -> dict:
-    cfg = {
-        "arch_id": config.arch_id,
-        "test_fraction": config.test_fraction,
-        "split_seed": config.split_seed,
-        "folds": config.folds,
-        "val_fraction": config.val_fraction,
-        "train": {
-            "optimizer": config.train.optimizer,
-            "batch_size": config.train.batch_size,
-            "learning_rate": config.train.learning_rate,
-            "epochs": config.train.epochs,
-            "conv_dropout": config.train.conv_dropout,
-            "dense_dropout": config.train.dense_dropout,
-            "seed": config.train.seed,
-            "early_stop_patience": config.train.early_stop_patience,
-        },
-    }
     payload = {
-        "config": cfg,
+        "config": asdict(config),
         "featureset": list(featureset),
         "folds": [r.to_dict() for r in fold_reports],
         "mean_accuracy": (float(np.mean([r.accuracy for r in fold_reports]))

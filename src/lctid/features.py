@@ -72,7 +72,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     channel_ids: tuple[str, ...]
-    hop_ms: float = dsp.HOP_MS
     source_id: str = ""
 
     @property
@@ -81,7 +80,7 @@ class FeatureMatrix:
 
     @property
     def duration_s(self) -> float:
-        return self.num_frames * self.hop_ms / 1000.0
+        return self.num_frames * dsp.HOP_MS / 1000.0
 
     def channels(self, ids: Sequence[str]) -> "FeatureMatrix":
         """Row subset in the order given."""
@@ -91,7 +90,7 @@ class FeatureMatrix:
             raise KeyError(f"channels not present: {missing}")
         rows = [index[c] for c in ids]
         return FeatureMatrix(values=self.values[rows], channel_ids=tuple(ids),
-                             hop_ms=self.hop_ms, source_id=self.source_id)
+                             source_id=self.source_id)
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ def extract_matrix(waveform: Waveform,
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite feature values for {source_id or 'utterance'}")
     return FeatureMatrix(values=values, channel_ids=channels,
-                         hop_ms=dsp.HOP_MS, source_id=source_id)
+                         source_id=source_id)
 
 
 def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray, sr: int,
@@ -388,4 +387,4 @@ def apply_norm(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
         raise ValueError("channel ids do not match normalization stats")
     values = (matrix.values - stats.mean[:, None]) / stats.std[:, None]
     return FeatureMatrix(values=values, channel_ids=matrix.channel_ids,
-                         hop_ms=matrix.hop_ms, source_id=matrix.source_id)
+                         source_id=matrix.source_id)

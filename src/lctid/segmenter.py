@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import dsp
 from .corpus import DIALECTS
 from .features import FeatureMatrix
 
@@ -49,11 +50,11 @@ def first_quartile(durations: Sequence[float]) -> float:
     return vals[lo - 1] + frac * (vals[lo] - vals[lo - 1])
 
 
-def segment_frames(segment_duration_s: float, hop_ms: float = 10.0) -> int:
-    """Frames per segment for a given segment duration."""
+def segment_frames(segment_duration_s: float) -> int:
+    """Frames per segment of the given duration on the `dsp.HOP_MS` grid."""
     if segment_duration_s <= 0.0:
         raise ValueError("segment duration must be positive")
-    return int(round(segment_duration_s / (hop_ms / 1000.0)))
+    return int(round(segment_duration_s / (dsp.HOP_MS / 1000.0)))
 
 
 def split(matrix: FeatureMatrix, segment_duration_s: float,
@@ -65,7 +66,7 @@ def split(matrix: FeatureMatrix, segment_duration_s: float,
     """
     if matrix.num_frames == 0:
         raise ValueError("empty feature matrix")
-    seg_len = segment_frames(segment_duration_s, matrix.hop_ms)
+    seg_len = segment_frames(segment_duration_s)
     total = matrix.num_frames
     n_segments = -(-total // seg_len)  # ceil
     segments = []

@@ -19,11 +19,6 @@ def small_handcrafted(small_corpus):
     return experiments.prepare_dataset(small_corpus, "handcrafted")
 
 
-@pytest.fixture(scope="session")
-def small_all(small_corpus):
-    return experiments.prepare_dataset(small_corpus, "all")
-
-
 def harmonic_tone(f0, num_harmonics, n=960, first=1, seed=0, sr=SR):
     """Equal-amplitude harmonics with random phases."""
     rng = np.random.default_rng(seed)

@@ -1,0 +1,71 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from lctid import cli, corpus, experiments
+
+SYNTH = ["synth", "--out", "corp", "--count", "12", "--dur-min", "0.5",
+         "--dur-max", "0.8", "--seed", "3"]
+
+
+def test_train_then_eval_on_the_model_file_alone(tmp_path, monkeypatch):
+    """Relative paths throughout, as a user in the corpus's parent runs it."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    # after one epoch the model calls every utterance LT, whatever the input;
+    # after four it separates the held-out pair, so a wrong normalisation
+    # at eval would change the report
+    assert cli.main(["train", "--manifest", "corp/manifest.tsv", "--arch", "CA02",
+                     "--epochs", "4", "--seed", "0", "--out", "run"]) == 0
+    assert sorted(p.name for p in Path("run").iterdir()) == ["model.lct",
+                                                             "results.json"]
+    trained = json.loads(Path("run/results.json").read_text())
+    assert trained["folds"][0]["accuracy"] == 1.0
+
+    manifest = corpus.load_manifest("corp/manifest.tsv")
+    _, test_idx = experiments.stratified_holdout(
+        [r.dialect for r in manifest.records], 0.2, seed=0)
+    held_out = corpus.CorpusManifest(
+        records=tuple(manifest.records[i] for i in test_idx))
+    corpus.save_manifest(held_out, "held_out.tsv")
+
+    assert cli.main(["eval", "--model", "run/model.lct",
+                     "--manifest", "held_out.tsv", "--out", "eval.json"]) == 0
+    report = json.loads(Path("eval.json").read_text())
+    assert report["total"] == len(test_idx)
+    assert report["per_class"] == trained["folds"][0]["per_class"]
+
+
+def test_eval_takes_no_feature_or_norm_flags(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--help"])
+    usage = capsys.readouterr().out
+    assert "--model" in usage
+    assert "--features" not in usage and "--norm" not in usage
+
+
+def test_config_given_with_equals_sign(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("count = 2\ndur-max = 0.3\n")
+    assert cli.main(["--config=run.cfg", "synth", "--out", "corp",
+                     "--dur-min", "0.2"]) == 0
+    assert len(corpus.load_manifest("corp/manifest.tsv")) == 2
+
+
+def test_config_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out", "corp", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def test_config_key_no_subcommand_knows_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 5\nepoch = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown key(s): epoch" in err
+    assert not (tmp_path / "c").exists()

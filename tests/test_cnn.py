@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from lctid import cnn
+from lctid.features import ALL_IDS, NormStats
 
 
 def tiny_model(seed=5):
@@ -12,13 +15,21 @@ def tiny_model(seed=5):
         cnn.Conv1D(3, 2, 4), cnn.ReLU(), cnn.MaxPool(2), cnn.Dropout(0.25),
         cnn.Conv1D(2, 4, 4), cnn.ReLU(), cnn.Flatten(),
         cnn.Dense(8, 6), cnn.ReLU(), cnn.Dropout(0.5),
-        cnn.Dense(6, 2), cnn.Softmax(),
+        cnn.Dense(6, 2),
     ], arch_id="CA02", input_frames=8, in_channels=2, rng_seed=seed)
     for layer in m.layers:
         if hasattr(layer, "weights"):
             layer.weights = rng.normal(0, 0.5, layer.weights.shape).astype(np.float32)
             layer.biases = rng.normal(0, 0.1, layer.biases.shape).astype(np.float32)
     return m
+
+
+def norm_for(model, seed=0):
+    """Normalisation statistics for the model's first `in_channels` ids."""
+    rng = np.random.default_rng(seed)
+    n = model.in_channels
+    return NormStats(mean=rng.standard_normal(n), std=rng.uniform(0.1, 3.0, n),
+                     channel_ids=ALL_IDS[:n])
 
 
 class TestConv1D:
@@ -113,7 +124,7 @@ class TestForward:
         # build zero-initialises the classifier: uniform output whatever the mask
         fresh = cnn.forward(model, x, mode="train", rng=np.random.default_rng(1))
         assert np.array_equal(fresh, [0.5, 0.5])
-        head = model.layers[-2]
+        head = model.layers[-1]
         wrng = np.random.default_rng(5)
         head.weights = wrng.normal(0, 0.05, head.weights.shape).astype(np.float32)
         a = cnn.forward(model, x, mode="train", rng=np.random.default_rng(1))
@@ -142,10 +153,8 @@ class TestForward:
             elif isinstance(layer, cnn.Dense):
                 const = const @ layer.weights.astype(np.float64) \
                     + layer.biases.astype(np.float64)
-            elif isinstance(layer, cnn.Softmax):
-                e = np.exp(const - const.max())
-                const = e / e.sum()
-        assert np.allclose(got, const, atol=1e-12)
+        e = np.exp(const - const.max())
+        assert np.allclose(got, e / e.sum(), atol=1e-12)
 
     def test_shape_mismatch_at_inference(self):
         model = cnn.build("CA02", 40, 10, seed=0)
@@ -247,7 +256,7 @@ class TestTraining:
         def diverge(grads, lr):
             raise cnn.TrainingDivergedError("update made the weights non-finite")
 
-        model.layers[-2].apply_update = diverge
+        model.layers[-1].apply_update = diverge
         x = np.random.default_rng(1).standard_normal((4, 8, 2))
         with pytest.raises(cnn.TrainingDivergedError, match="layer 10"):
             cnn.train_step(model, x, np.array([0, 1, 0, 1]), 0.1,
@@ -304,8 +313,8 @@ class TestSerialization:
     def test_round_trip_outputs_bit_exact(self, tmp_path):
         model = cnn.build("CA03", 60, 4, seed=17)
         path = tmp_path / "m.lct"
-        cnn.save(model, path)
-        back = cnn.load(path)
+        cnn.save(model, norm_for(model), path)
+        back, _ = cnn.load(path)
         assert back.arch_id == "CA03"
         assert back.rng_seed == 17
         rng = np.random.default_rng(0)
@@ -313,10 +322,20 @@ class TestSerialization:
             x = rng.standard_normal((60, 4))
             assert np.array_equal(cnn.forward(model, x), cnn.forward(back, x))
 
+    def test_norm_round_trips_bit_exact(self, tmp_path):
+        model = cnn.build("CA02", 40, 5, seed=3)
+        norm = norm_for(model, seed=8)
+        path = tmp_path / "m.lct"
+        cnn.save(model, norm, path)
+        _, back = cnn.load(path)
+        assert back.channel_ids == ("F0", "ENERGY", "VPROB", "JITTER", "DJITTER")
+        assert np.array_equal(back.mean, norm.mean)
+        assert np.array_equal(back.std, norm.std)
+
     def test_truncated_file(self, tmp_path):
         model = cnn.build("CA02", 40, 3, seed=0)
         path = tmp_path / "m.lct"
-        cnn.save(model, path)
+        cnn.save(model, norm_for(model), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(cnn.ModelFileError, match="corrupt|truncated"):
@@ -328,16 +347,62 @@ class TestSerialization:
         with pytest.raises(cnn.ModelFileError, match="magic"):
             cnn.load(path)
 
+    def test_version_1_rejected(self, tmp_path):
+        model = cnn.build("CA02", 40, 3, seed=0)
+        path = tmp_path / "m.lct"
+        cnn.save(model, norm_for(model), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+        with pytest.raises(cnn.ModelFileError, match="version 1.*retrain"):
+            cnn.load(path)
+
+    def test_save_rejects_channel_count_mismatch(self, tmp_path):
+        model = cnn.build("CA02", 40, 3, seed=0)
+        for n_ids, n_stats in ((4, 4), (3, 2)):
+            with pytest.raises(ValueError, match="channels"):
+                cnn.save(model, NormStats(mean=np.zeros(n_stats),
+                                          std=np.ones(n_stats),
+                                          channel_ids=ALL_IDS[:n_ids]),
+                         tmp_path / "m.lct")
+        assert not (tmp_path / "m.lct").exists()
+
+    def test_load_rejects_channel_count_mismatch(self, tmp_path):
+        model = cnn.build("CA02", 40, 3, seed=0)
+        path = tmp_path / "m.lct"
+        cnn.save(model, norm_for(model), path)
+        blob = path.read_bytes()
+        at = 4 + 2 + 1 + len("CA02") + 16  # the channel count follows the shape
+        assert struct.unpack_from("<I", blob, at) == (3,)
+        path.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4:])
+        with pytest.raises(cnn.ModelFileError, match="2 channels"):
+            cnn.load(path)
+
+    @pytest.mark.parametrize("ids, std, match", [
+        (("F0", "XX", "ZCR"), (1.0, 1.0, 1.0), "unknown or repeated channel id 'XX'"),
+        (("F0", "ZCR", "F0"), (1.0, 1.0, 1.0), "unknown or repeated channel id 'F0'"),
+        (("F0", "HNR", "ZCR"), (1.0, 0.0, 1.0), "non-positive std"),
+        (("F0", "HNR", "ZCR"), (1.0, np.nan, 1.0), "non-finite"),
+        (("F0", "HNR", "ZCR"), (1.0, np.inf, 1.0), "non-finite"),
+    ])
+    def test_load_rejects_bad_channel_table(self, tmp_path, ids, std, match):
+        model = cnn.build("CA02", 40, 3, seed=0)
+        path = tmp_path / "m.lct"
+        cnn.save(model, NormStats(mean=np.zeros(3), std=np.array(std),
+                                  channel_ids=ids), path)
+        with pytest.raises(cnn.ModelFileError, match=match):
+            cnn.load(path)
+
     def test_wrong_channel_count_fails_at_inference(self, tmp_path):
         model = cnn.build("CA02", 40, 5, seed=0)
         path = tmp_path / "m.lct"
-        cnn.save(model, path)
-        back = cnn.load(path)
+        cnn.save(model, norm_for(model), path)
+        back, _ = cnn.load(path)
         with pytest.raises(cnn.ShapeMismatchError):
             cnn.forward(back, np.zeros((40, 3)))
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.lct", tmp_path / "b.lct"
-        cnn.save(cnn.build("CA02", 40, 3, seed=21), a)
-        cnn.save(cnn.build("CA02", 40, 3, seed=21), b)
+        for path in (a, b):
+            model = cnn.build("CA02", 40, 3, seed=21)
+            cnn.save(model, norm_for(model), path)
         assert a.read_bytes() == b.read_bytes()

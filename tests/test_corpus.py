@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from lctid import corpus, features
+from lctid import corpus
 from lctid.corpus import (CorpusError, CorpusManifest, SynthSpec,
                           UtteranceRecord, Waveform, derive_balanced_subset,
                           load_manifest, read_wav, synth_corpus,
@@ -190,6 +190,7 @@ class TestSynthCorpus:
         assert len(manifest.by_dialect("CT")) == 6
         for r in manifest.records:
             assert r.duration_s > 0
+        assert load_manifest(tmp_path / "s" / "manifest.tsv") == manifest
 
     def test_byte_identical_given_seed(self, tmp_path):
         spec_a = SynthSpec(num_utterances=6, dur_min_s=0.5, dur_max_s=0.7,
