@@ -3,9 +3,10 @@
 Every run is deterministic given identical flags and seed; results files
 embed the resolved configuration.  A flat ``key = value`` config file
 (``--config``, before the subcommand) can preset any flag; flags win, and
-a key no subcommand knows is a usage error.  Seed resolution: --seed flag,
-then the LCTID_SEED environment variable, then 0.  ``train`` writes
-``model.lct``, which is all that ``eval`` needs, and ``results.json``.
+a key no subcommand knows, or a value outside a flag's choices, is a usage
+error.  Seed resolution: --seed flag, then the LCTID_SEED environment
+variable, then 0.  ``train`` writes ``model.lct``, which is all that
+``eval`` needs, and ``results.json``.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -439,6 +440,13 @@ def main(argv=None) -> int:
         subparsers = parser._subparsers._group_actions[0].choices.values()
         known: set = set()
         for sp in (parser, *subparsers):
+            # argparse checks choices only on the command line, not on defaults
+            for action in sp._actions:
+                if action.choices is not None and action.dest in overrides \
+                        and overrides[action.dest] not in action.choices:
+                    parser.error(f"config file {cfg_path}: {action.dest} = "
+                                 f"{overrides[action.dest]!r} is not one of: "
+                                 + ", ".join(map(str, action.choices)))
             dests = {a.dest for a in sp._actions}
             sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
             known |= dests

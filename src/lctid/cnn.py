@@ -2,8 +2,12 @@
 
 Convolution is valid (no padding), stride 1, implemented as correlation
 across time and summed over input channels.  Parameters are stored as
-float32 (matching the model file format exactly, so save/load round-trips
-bit-exactly) while activations and gradients flow in float64.
+float32, matching the model file format exactly, so save/load round-trips
+bit-exactly.  The network computes in its parameters' dtype: inputs are
+cast to it once, and activations, gradients and updates stay in it, so a
+loaded or freshly built model runs in float32 and `grad_check`'s float64
+copy runs the same code in float64.  Only the softmax and the loss, on the
+(B, 2) logits, are taken in float64.
 
 Architectures: two pairs of convolutional layers, each pair followed by
 max-pooling and dropout, then one or two ReLU dense layers and a final
@@ -99,11 +103,12 @@ class Conv1D:
         cols, (b, t, c) = cache
         w_mat = self.weights.reshape(self.kernel_len * self.in_channels,
                                      self.out_channels)
-        grads_out["weights"] = np.einsum("btf,bto->fo", cols, grad).reshape(
+        grads_out["weights"] = (cols.reshape(-1, w_mat.shape[0]).T
+                                @ grad.reshape(-1, self.out_channels)).reshape(
             self.weights.shape)
         grads_out["biases"] = grad.sum(axis=(0, 1))
         dcols = (grad @ w_mat.T).reshape(b, -1, self.kernel_len, c)
-        dx = np.zeros((b, t, c))
+        dx = np.zeros((b, t, c), dtype=grad.dtype)
         t_out = dcols.shape[1]
         for dt in range(self.kernel_len):
             dx[:, dt:dt + t_out, :] += dcols[:, :, dt, :]
@@ -114,15 +119,18 @@ class Conv1D:
 
 
 def _gradient_step(layer, grads: dict, lr: float) -> None:
-    """Rebind the layer's weights and biases to their float32 update.
+    """Rebind the layer's weights and biases to their update w - lr * g.
 
-    Both new arrays are computed and checked before either is assigned: a
+    The update is computed in the parameters' dtype (the gradients are in
+    it already, and a Python float rate does not promote them).  Both new
+    arrays are computed and checked before either is assigned: a
     non-finite result (a non-finite gradient, or a value past the float32
     range) raises TrainingDivergedError and leaves the layer unchanged.
     The old arrays are never written to.
     """
+    lr = float(lr)
     with np.errstate(over="ignore", invalid="ignore"):
-        new = {name: (getattr(layer, name) - lr * grads[name]).astype(np.float32)
+        new = {name: getattr(layer, name) - lr * grads[name]
                for name in ("weights", "biases")}
     for name, value in new.items():
         if not np.isfinite(value).all():
@@ -169,9 +177,9 @@ class MaxPool:
     def backward(self, grad, cache, grads_out):
         idx, (b, t, c) = cache
         t2 = idx.shape[1]
-        dxr = np.zeros((b, t2, self.width, c))
+        dxr = np.zeros((b, t2, self.width, c), dtype=grad.dtype)
         np.put_along_axis(dxr, idx[:, :, None, :], grad[:, :, None, :], axis=2)
-        dx = np.zeros((b, t, c))
+        dx = np.zeros((b, t, c), dtype=grad.dtype)
         dx[:, :t2 * self.width] = dxr.reshape(b, t2 * self.width, c)
         return dx
 
@@ -194,7 +202,8 @@ class Dropout:
         if rng is None or self.rate == 0.0:
             return x, None
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep) / keep
+        # drawn in float64 whatever x's dtype, so a seed drops the same units
+        mask = ((rng.random(x.shape) < keep) / keep).astype(x.dtype)
         return x * mask, mask
 
     def backward(self, grad, cache, grads_out):
@@ -317,6 +326,7 @@ def default_learning_rate(optimizer: str) -> float:
     0.01 it overshoots on samples whose activations have a large norm:
     CA03 then diverged on 4 of 61 seeds of the synthetic benchmark corpus
     (48 utterances, 10 handcrafted channels), and on none of 71 at 0.005.
+    Computing in float32 left both counts as they were.
     """
     return 0.005 if optimizer == "sgd" else 0.01
 
@@ -372,18 +382,35 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
 # ---------------------------------------------------------------------------
 # Forward / loss / training
 
+def _in_compute_dtype(model: Model, x) -> np.ndarray:
+    """`x` cast to the dtype the network computes in, that of its first
+    trainable layer's weights; no copy when it is in that dtype already."""
+    dtype = next(l.weights.dtype for l in model.layers
+                 if isinstance(l, (Conv1D, Dense)))
+    with np.errstate(over="ignore"):  # forward_batch reports the overflow
+        return np.asarray(x, dtype=dtype)
+
+
 def forward_batch(model: Model, x: np.ndarray, train: bool = False,
                   rng: np.random.Generator | None = None,
                   want_caches: bool = False, logits: bool = False):
     """(B, frames, channels) -> (B, 2) activations; caches when training.
 
-    With `logits` the output is the last layer's, before the softmax.
+    The input is cast to the parameters' dtype and the layers compute in
+    it.  With `logits` the output is the last layer's, before the softmax;
+    otherwise the softmax is taken in float64.  Raises ValueError when the
+    cast input holds a non-finite value (in float32, any value past about
+    3.4e38).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _in_compute_dtype(model, x)
     if x.ndim != 3 or x.shape[1:] != (model.input_frames, model.in_channels):
         raise ShapeMismatchError(
             f"input shape {x.shape[1:]} does not match model input "
             f"({model.input_frames}, {model.in_channels})")
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise ValueError(f"input holds {bad} non-finite value(s) "
+                         f"as {x.dtype.name}")
     caches = []
     for layer in model.layers:
         if isinstance(layer, Dropout):
@@ -393,7 +420,7 @@ def forward_batch(model: Model, x: np.ndarray, train: bool = False,
         if want_caches:
             caches.append(cache)
     if not logits:
-        x = _softmax(x)[0]
+        x = _softmax(x.astype(np.float64))[0]
     return (x, caches) if want_caches else x
 
 
@@ -402,7 +429,7 @@ def forward(model: Model, segment: np.ndarray, mode: str = "infer",
     """Class activations (2,) for one frames x channels segment."""
     if mode not in ("infer", "train"):
         raise ValueError("mode must be 'infer' or 'train'")
-    x = np.asarray(segment, dtype=np.float64)[None, :, :]
+    x = np.asarray(segment)[None, :, :]
     return forward_batch(model, x, train=(mode == "train"), rng=rng)[0]
 
 
@@ -431,13 +458,15 @@ def cross_entropy(probs: np.ndarray, targets) -> float:
 def _logit_loss(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(logits) and its gradient (p - y) / B.
 
-    Taken as logsumexp(z) - z_y, without clamping, so the loss and the
-    gradient stay exact when the softmax saturates.
+    Taken as logsumexp(z) - z_y in float64, without clamping, so the loss
+    and the gradient stay exact when the softmax saturates; the gradient
+    is returned in the logits' dtype.
     """
     batch = logits.shape[0]
     y = _as_target_matrix(targets, batch)
-    p, log_p = _softmax(logits)
-    return float(-(y * log_p).sum() / batch), (p - y) / batch
+    p, log_p = _softmax(logits.astype(np.float64))
+    grad = ((p - y) / batch).astype(logits.dtype)
+    return float(-(y * log_p).sum() / batch), grad
 
 
 def _loss_and_grads(model: Model, inputs: np.ndarray, targets,
@@ -468,10 +497,13 @@ def train_step(model: Model, inputs: np.ndarray, targets,
     non-finite gradient, or a value past the float32 range).  The model is
     then left exactly as it was before the step.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _in_compute_dtype(model, inputs)
     if inputs.ndim != 3 or inputs.shape[0] == 0:
         raise ValueError("batch must be (B, frames, channels) with B >= 1")
-    loss, updates = _loss_and_grads(model, inputs, targets, rng)
+    # an overflow shows up as a non-finite loss or update, which raises
+    # TrainingDivergedError
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, updates = _loss_and_grads(model, inputs, targets, rng)
     # apply_update rebinds a layer's arrays, so keeping the old ones is
     # enough to undo the layers already updated when a later one diverges
     before = [(layer, layer.weights, layer.biases) for _, layer, _ in updates]
@@ -524,7 +556,7 @@ def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
     update would make a parameter non-finite (see `train_step`); the model
     then keeps the parameters it had before that step.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _in_compute_dtype(model, inputs)  # once, not per batch
     targets = np.asarray(targets)
     n = inputs.shape[0]
     if n == 0:

@@ -84,13 +84,17 @@ def split(matrix: FeatureMatrix, segment_duration_s: float,
 def aggregate(activations: np.ndarray) -> str:
     """Average per-class softmax activations across segments; argmax wins.
 
-    Column 0 is LT, column 1 is CT; an exact tie resolves to LT.
+    Column 0 is LT, column 1 is CT; an exact tie resolves to LT.  A
+    non-finite activation raises ValueError: a NaN row passes the sum
+    check, and argmax would read it as LT.
     """
     acts = np.atleast_2d(np.asarray(activations, dtype=np.float64))
     if acts.size == 0:
         raise ValueError("no activations to aggregate")
     if acts.shape[1] != 2:
         raise ValueError(f"expected 2 activation columns, got {acts.shape[1]}")
+    if not np.isfinite(acts).all():
+        raise ValueError("activations must be finite")
     sums = acts.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6):
         raise ValueError("activation rows must each sum to 1")

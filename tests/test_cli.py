@@ -69,3 +69,19 @@ def test_config_key_no_subcommand_knows_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key(s): epoch" in err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("line, key", [("arch = CA99", "arch"),
+                                       ("optimizer = adam", "optimizer")])
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys,
+                                                       line, key):
+    # as `--arch CA99` would: exit 2 before the manifest is read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "train", "--manifest",
+                  str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{key} = " in err and "is not one of" in err
+    assert not (tmp_path / "run").exists()

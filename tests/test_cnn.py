@@ -156,6 +156,24 @@ class TestForward:
         e = np.exp(const - const.max())
         assert np.allclose(got, e / e.sum(), atol=1e-12)
 
+    def test_non_finite_input_rejected(self):
+        model = tiny_model()
+        x = np.zeros((2, 8, 2))
+        x[0, 3, 1] = np.nan
+        x[1, 0, 0] = -np.inf
+        with pytest.raises(ValueError, match="2 non-finite"):
+            cnn.forward_batch(model, x)
+
+    def test_input_past_float32_range_rejected(self):
+        # finite in float64, inf once cast to the float32 compute dtype
+        model = tiny_model()
+        x = np.zeros((1, 8, 2))
+        x[0, :3, 0] = 1e39
+        with pytest.raises(ValueError, match="3 non-finite value.*float32"):
+            cnn.forward_batch(model, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            cnn.train_step(model, x, np.array([0]), 0.01, np.random.default_rng(0))
+
     def test_shape_mismatch_at_inference(self):
         model = cnn.build("CA02", 40, 10, seed=0)
         with pytest.raises(cnn.ShapeMismatchError):
@@ -290,6 +308,87 @@ class TestTraining:
                             learning_rate=1e-9, seed=1, early_stop_patience=3),
             val_inputs=xs, val_targets=ys)
         assert len(history["train_loss"]) < 50
+
+
+def _float_arrays(value):
+    """The floating-point arrays in a layer's cache, output or gradients."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype.kind == "f" else []
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _float_arrays(v)]
+    if isinstance(value, dict):
+        return _float_arrays(list(value.values()))
+    return []
+
+
+def _spy_dtypes(model):
+    """Wrap each layer's forward and backward; returns the list of dtypes
+    of every float array they take in, return or store as gradients."""
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args):
+            result = fn(*args)
+            seen.extend(a.dtype for a in _float_arrays([args, result]))
+            return result
+        return wrapped
+
+    for layer in model.layers:
+        layer.forward = spy(layer.forward)
+        layer.backward = spy(layer.backward)
+    return seen
+
+
+class TestComputeDtype:
+    """The network computes in its parameters' dtype: float32 for a built or
+    loaded model, float64 for grad_check's copy."""
+
+    @pytest.mark.parametrize("to_float64", [False, True])
+    def test_train_step_stays_in_parameter_dtype(self, to_float64):
+        model = tiny_model(seed=3)
+        expected = np.float32
+        if to_float64:
+            model, expected = cnn._float64_copy(model), np.float64
+        seen = _spy_dtypes(model)
+        x = np.random.default_rng(4).standard_normal((3, 8, 2))  # float64
+        # a numpy float64 learning rate must not promote the update either
+        cnn.train_step(model, x, np.array([0, 1, 1]), np.float64(0.1),
+                       np.random.default_rng(5))
+        # every layer's input, output, cache and, on the way back, its
+        # incoming gradient, outgoing gradient and parameter gradients
+        assert len(seen) > 3 * len(model.layers)
+        assert set(seen) == {np.dtype(expected)}
+        for layer in model.layers:
+            if isinstance(layer, (cnn.Conv1D, cnn.Dense)):
+                assert layer.weights.dtype == expected
+                assert layer.biases.dtype == expected
+
+    def test_dropout_mask_in_input_dtype(self):
+        x = np.ones((2, 5, 3), dtype=np.float32)
+        out, mask = cnn.Dropout(0.5).forward(x, np.random.default_rng(0))
+        assert out.dtype == mask.dtype == np.float32
+        # the mask comes from the float64 uniform stream whatever the dtype
+        keep = np.random.default_rng(0).random(x.shape) < 0.5
+        assert np.array_equal(mask != 0, keep)
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_float32_gradients_match_float64(self, seed):
+        model = tiny_model(seed=seed)
+        for layer in model.layers:
+            if isinstance(layer, cnn.Dropout):
+                layer.rate = 0.0
+        wide = cnn._float64_copy(model)
+        x = np.random.default_rng(seed + 1).standard_normal((4, 8, 2))
+        y = np.array([0, 1, 1, 0])
+        loss32, grads32 = cnn._loss_and_grads(model, x, y, np.random.default_rng(0))
+        loss64, grads64 = cnn._loss_and_grads(wide, x, y, np.random.default_rng(0))
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        assert [i for i, _, _ in grads32] == [i for i, _, _ in grads64]
+        for (i, _, g32), (_, _, g64) in zip(grads32, grads64):
+            for name in ("weights", "biases"):
+                assert g32[name].dtype == np.float32
+                err = np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+                assert err < 1e-3, (i, name, err)
 
 
 class TestGradCheck:

@@ -126,6 +126,13 @@ class TestAggregate:
         with pytest.raises(ValueError, match="sum to 1"):
             aggregate(np.array([[0.5, 0.6]]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.inf, 0.0],
+                                     [0.5, np.nan]])
+    def test_non_finite_activations_rejected(self, bad):
+        # NaN fails no sum check and argmax reads it as column 0, LT
+        with pytest.raises(ValueError, match="finite"):
+            aggregate(np.array([[0.2, 0.8], bad]))
+
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             aggregate(np.zeros((0, 2)))
