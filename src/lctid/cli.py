@@ -8,6 +8,10 @@ error.  Seed resolution: --seed flag, then the LCTID_SEED environment
 variable, then 0.  ``train`` writes ``model.lct``, which is all that
 ``eval`` needs, and ``results.json``.
 
+Every command that extracts features decodes its WAVs at the canonical
+16 kHz and fails on any other rate; there is no resampler.  Extraction
+runs one utterance at a time in the calling thread.
+
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
 
@@ -24,8 +28,8 @@ import numpy as np
 
 from . import cnn, dsp, experiments, features
 from .corpus import (CorpusError, CorpusManifest, SynthSpec,
-                     derive_balanced_subset, load_manifest, read_wav,
-                     synth_corpus)
+                     derive_balanced_subset, load_audio, load_manifest,
+                     read_canonical_wav, synth_corpus)
 from .features import extract_matrix, resolve_featureset
 
 logger = logging.getLogger("lctid")
@@ -194,19 +198,12 @@ def cmd_extract(args) -> int:
     index_lines = ["id,dialect,csv,frames"]
     failures = 0
 
-    def one(record):
-        wave = read_wav(record.audio_path)
-        return extract_matrix(wave, channels, source_id=record.id)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda r: _try(one, r), manifest.records))
-    else:
-        results = [_try(one, r) for r in manifest.records]
-    for record, result in zip(manifest.records, results):
-        if isinstance(result, Exception):
-            logger.error("extract failed for %s: %s", record.id, result)
+    for record in manifest.records:
+        try:
+            result = extract_matrix(load_audio(record), channels,
+                                    source_id=record.id)
+        except Exception as exc:  # reported per utterance; the run goes on
+            logger.error("extract failed for %s: %s", record.id, exc)
             failures += 1
             continue
         csv_path = out / f"{record.id}.csv"
@@ -221,13 +218,6 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
-def _try(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # collected and reported per utterance
-        return exc
-
-
 def cmd_plot(args) -> int:
     feature_id = args.feature.strip().upper()
     if feature_id not in features.ALL_IDS:
@@ -236,7 +226,7 @@ def cmd_plot(args) -> int:
     panels = []
     csv_lines = ["utterance,frame,time_s,value"]
     for tag, wav in (("A", args.wav_a), ("B", args.wav_b)):
-        wave = read_wav(wav)
+        wave = read_canonical_wav(wav)
         mat = extract_matrix(wave, [feature_id], source_id=Path(wav).stem)
         vals = mat.values[0]
         times = np.arange(vals.size) * dsp.HOP_MS / 1000.0
@@ -256,7 +246,7 @@ def cmd_train(args) -> int:
     config = _experiment_config(args)
     manifest = _load_balanced(args)
     channels = resolve_featureset(args.features)
-    dataset = experiments.prepare_dataset(manifest, channels, jobs=args.jobs)
+    dataset = experiments.prepare_dataset(manifest, channels)
     train_idx, test_idx = experiments.stratified_holdout(
         dataset.labels, config.test_fraction, config.split_seed)
     report, model, aux = experiments.train_and_evaluate(
@@ -283,7 +273,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, norm = cnn.load(args.model)
     manifest = load_manifest(args.manifest)
-    report = experiments.evaluate(model, norm, manifest, jobs=args.jobs)
+    report = experiments.evaluate(model, norm, manifest)
     _print_report(report)
     if args.out:
         _atomic_write_text(Path(args.out),
@@ -295,7 +285,7 @@ def cmd_ablate(args) -> int:
     config = _experiment_config(args)
     manifest = _load_balanced(args)
     channels = resolve_featureset(args.features)
-    dataset = experiments.prepare_dataset(manifest, channels, jobs=args.jobs)
+    dataset = experiments.prepare_dataset(manifest, channels)
     if args.method == "rfe":
         table = experiments.rfe_round(channels, dataset, config)
     else:
@@ -325,7 +315,7 @@ def cmd_combine(args) -> int:
     base = resolve_featureset(args.base)
     extra = resolve_featureset(args.extra)
     union = tuple(c for c in features.ALL_IDS if c in set(base) | set(extra))
-    dataset = experiments.prepare_dataset(manifest, union, jobs=args.jobs)
+    dataset = experiments.prepare_dataset(manifest, union)
     report, _model, aux = experiments.combine_and_eval(base, extra, dataset, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -372,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", default="handcrafted")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("plot", help="two-panel feature contour SVG + CSV")
@@ -389,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="derive a balanced subset first, e.g. 8h")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -397,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="feature ablation (RFE or IFE)")
@@ -407,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", type=parse_hours, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -418,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balanced", type=parse_hours, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     _add_train_flags(p)
     p.set_defaults(func=cmd_combine)
 

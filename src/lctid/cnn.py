@@ -36,7 +36,7 @@ __all__ = [
     "ARCHITECTURES", "CONV_CHANNELS", "ShapeMismatchError", "ModelFileError",
     "TrainingDivergedError", "Conv1D", "ReLU", "MaxPool", "Dropout",
     "Flatten", "Dense", "Model", "TrainConfig", "build",
-    "forward", "forward_batch", "cross_entropy", "train_step", "train",
+    "forward_batch", "cross_entropy", "train_step", "train",
     "grad_check", "save", "load", "default_optimizer", "default_learning_rate",
 ]
 
@@ -422,15 +422,6 @@ def forward_batch(model: Model, x: np.ndarray, train: bool = False,
     if not logits:
         x = _softmax(x.astype(np.float64))[0]
     return (x, caches) if want_caches else x
-
-
-def forward(model: Model, segment: np.ndarray, mode: str = "infer",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class activations (2,) for one frames x channels segment."""
-    if mode not in ("infer", "train"):
-        raise ValueError("mode must be 'infer' or 'train'")
-    x = np.asarray(segment)[None, :, :]
-    return forward_batch(model, x, train=(mode == "train"), rng=rng)[0]
 
 
 def _as_target_matrix(targets, batch: int) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "read_wav",
     "write_wav",
     "wav_duration_s",
+    "read_canonical_wav",
     "load_audio",
     "derive_balanced_subset",
     "synth_corpus",
@@ -164,6 +165,9 @@ def _parse_wav(data: bytes, path) -> tuple[int, int, int, bytes]:
     if fmt is None or payload is None:
         raise CorpusError(f"{path}: missing fmt or data chunk")
     format_code, channels, rate, _byte_rate, _block_align, bits = fmt
+    if channels == 0 or rate == 0:
+        raise CorpusError(f"{path}: fmt chunk declares {channels} channel(s) "
+                          f"at {rate} Hz")
     if format_code == _FMT_PCM and bits == 16:
         pass
     elif format_code == _FMT_FLOAT and bits == 32:
@@ -228,15 +232,22 @@ def write_wav(path: str | Path, waveform: Waveform, encoding: str = "pcm16") -> 
     Path(path).write_bytes(blob)
 
 
-def load_audio(record: UtteranceRecord,
-               expected_rate_hz: int = CANONICAL_RATE_HZ) -> Waveform:
-    """Decode an utterance and enforce the canonical sample rate."""
-    w = read_wav(record.audio_path)
-    if w.sample_rate_hz != expected_rate_hz:
+def read_canonical_wav(path: str | Path) -> Waveform:
+    """Decode a WAV and reject any rate but CANONICAL_RATE_HZ.
+
+    Every command that extracts features decodes through here.
+    """
+    w = read_wav(path)
+    if w.sample_rate_hz != CANONICAL_RATE_HZ:
         raise CorpusError(
-            f"{record.audio_path}: sample rate {w.sample_rate_hz} Hz; "
-            f"expected {expected_rate_hz} Hz (no resampler)")
+            f"{path}: sample rate {w.sample_rate_hz} Hz; "
+            f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
     return w
+
+
+def load_audio(record: UtteranceRecord) -> Waveform:
+    """Decode an utterance at the canonical sample rate."""
+    return read_canonical_wav(record.audio_path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,12 @@ spectral sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HOP_MS = 10.0
 
 __all__ = [
     "HOP_MS",
-    "FrameSeries",
     "frame_signal",
     "magnitude_spectra",
     "bin_frequencies",
@@ -30,40 +27,17 @@ def samples_for_ms(ms: float, sample_rate_hz: int) -> int:
     return int(round(ms * sample_rate_hz / 1000.0))
 
 
-@dataclass(frozen=True)
-class FrameSeries:
-    """Frames cut from a signal on a fixed hop grid; no window applied.
+def frame_signal(samples: np.ndarray, sample_rate_hz: int,
+                 frame_ms: float) -> np.ndarray:
+    """Slice a signal into overlapping frames on the `HOP_MS` grid (no window).
 
-    Frame i holds exactly the signal slice [i*hop, i*hop + frame_len).
-    """
-
-    frames: np.ndarray  # (num_frames, frame_len)
-    frame_ms: float
-    hop_ms: float
-    sample_rate_hz: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def frame_len(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def hop(self) -> int:
-        return samples_for_ms(self.hop_ms, self.sample_rate_hz)
-
-
-def frame_signal(samples: np.ndarray, sample_rate_hz: int, frame_ms: float,
-                 hop_ms: float = HOP_MS) -> FrameSeries:
-    """Slice a signal into overlapping frames (no window).
-
-    Raises ValueError if the signal is shorter than one frame.
+    Returns the (num_frames, frame_len) array whose row i is exactly the
+    signal slice [i*hop, i*hop + frame_len).  Raises ValueError if the
+    signal is shorter than one frame.
     """
     x = np.ascontiguousarray(samples, dtype=np.float64)
     frame_len = samples_for_ms(frame_ms, sample_rate_hz)
-    hop = samples_for_ms(hop_ms, sample_rate_hz)
+    hop = samples_for_ms(HOP_MS, sample_rate_hz)
     if x.ndim != 1:
         raise ValueError("expected a mono signal")
     if x.size < frame_len:
@@ -71,8 +45,7 @@ def frame_signal(samples: np.ndarray, sample_rate_hz: int, frame_ms: float,
             f"signal of {x.size} samples is shorter than one {frame_ms:g} ms "
             f"frame ({frame_len} samples)")
     windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return FrameSeries(frames=np.ascontiguousarray(windows), frame_ms=frame_ms,
-                       hop_ms=hop_ms, sample_rate_hz=sample_rate_hz)
+    return np.ascontiguousarray(windows)
 
 
 def default_fft_size(frame_len: int) -> int:

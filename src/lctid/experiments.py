@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -174,23 +173,15 @@ class Dataset:
 
 
 def prepare_dataset(manifest: CorpusManifest,
-                    featureset: str | Iterable[str],
-                    jobs: int = 1) -> Dataset:
+                    featureset: str | Iterable[str]) -> Dataset:
     """Extract the requested channels for every utterance in the manifest."""
     channels = resolve_featureset(featureset)
-
-    def one(record):
-        wave = load_audio(record)
-        return PreparedUtterance(
-            id=record.id, dialect=record.dialect,
-            matrix=extract_matrix(wave, channels, source_id=record.id))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            prepared = list(pool.map(one, manifest.records))
-    else:
-        prepared = [one(r) for r in manifest.records]
-    return Dataset(utterances=tuple(prepared), channel_ids=channels)
+    prepared = tuple(
+        PreparedUtterance(id=r.id, dialect=r.dialect,
+                          matrix=extract_matrix(load_audio(r), channels,
+                                                source_id=r.id))
+        for r in manifest.records)
+    return Dataset(utterances=prepared, channel_ids=channels)
 
 
 def stratified_holdout(labels: Sequence[str], test_fraction: float,
@@ -251,7 +242,7 @@ def _segments_for(utterances, norm: NormStats, seg_duration_s: float):
     xs, ys = [], []
     for u in utterances:
         mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
-        for seg in segmenter.split(mat, seg_duration_s, label=u.dialect):
+        for seg in segmenter.split(mat, seg_duration_s):
             xs.append(seg.matrix.T)  # frames x channels
             ys.append(DIALECTS.index(u.dialect))
     return np.asarray(xs), np.asarray(ys)
@@ -313,15 +304,15 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
     return report, model, aux
 
 
-def evaluate(model: cnn.Model, norm: NormStats, manifest: CorpusManifest,
-             jobs: int = 1) -> EvalReport:
+def evaluate(model: cnn.Model, norm: NormStats,
+             manifest: CorpusManifest) -> EvalReport:
     """Score a trained model on a manifest; decisions are per utterance.
 
     `model` and `norm` are what `cnn.load` returns: the channels extracted
     are `norm.channel_ids`, normalised with its statistics, and the segment
     length is the model's `input_frames` on the `dsp.HOP_MS` grid.
     """
-    dataset = prepare_dataset(manifest, norm.channel_ids, jobs=jobs)
+    dataset = prepare_dataset(manifest, norm.channel_ids)
     seg_duration_s = model.input_frames * dsp.HOP_MS / 1000.0
     return _evaluate_prepared(model, dataset.utterances, norm, seg_duration_s)
 

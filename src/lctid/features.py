@@ -5,6 +5,13 @@ voice quality: JITTER, DJITTER, SHIMMER, HNR; spectral: SFLUX, SHARP;
 temporal: ZCR on 20 ms frames) plus 13 MFCCs, all on a shared 10 ms hop
 grid.  Unvoiced frames carry zeros in the F0 and voice-quality channels so
 every channel stays dense for the CNN.
+
+Each channel has one row kernel over a frame or spectrum stack, except the
+voice-quality channels, which are taken voiced frame by voiced frame:
+JITTER, DJITTER and SHIMMER from the marks of `pitch.track_periods`, HNR
+from the autocorrelation at the pitch lag.  The analysis settings (SHS in
+`pitch`, MFCC here) are module constants, so `extract_matrix` takes a
+waveform and a channel set and nothing else.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ FEATURESET_NAMES = {
 
 __all__ = [
     "HANDCRAFTED_IDS", "MFCC_IDS", "ALL_IDS", "FEATURESET_NAMES",
-    "FeatureMatrix", "NormStats", "MfccConfig", "DEFAULT_MFCC",
+    "FeatureMatrix", "NormStats",
     "resolve_featureset", "energy_rows", "zcr_rows", "jitter",
     "jitter_derivative", "shimmer", "hnr", "sharpness_rows", "flux_rows",
     "mfcc_rows", "mel_filterbank", "extract_matrix", "fit_norm", "apply_norm",
@@ -216,17 +223,9 @@ def hnr(frame: np.ndarray, f0_hz: float, sample_rate_hz: int) -> float:
 # ---------------------------------------------------------------------------
 # MFCC
 
-@dataclass(frozen=True)
-class MfccConfig:
-    num_coeffs: int = 13
-    num_filters: int = 26
-    pre_emphasis: float = 0.97
-    f_lo_hz: float = 0.0
-    f_hi_hz: float | None = None  # defaults to Nyquist
-    log_floor: float = 1e-10
-
-
-DEFAULT_MFCC = MfccConfig()
+MEL_FILTERS = 26     # triangles from 0 Hz to Nyquist
+PRE_EMPHASIS = 0.97
+LOG_FLOOR = 1e-10    # floor on each filter energy before the log
 
 _mel_cache: dict[tuple, np.ndarray] = {}
 
@@ -235,22 +234,20 @@ def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_filterbank(fft_size: int, sample_rate_hz: int,
-                   cfg: MfccConfig = DEFAULT_MFCC) -> np.ndarray:
-    """(num_filters, fft_size//2) triangular weights over bins 1..K/2.
+def mel_filterbank(fft_size: int, sample_rate_hz: int) -> np.ndarray:
+    """(MEL_FILTERS, fft_size//2) triangular weights over bins 1..K/2.
 
     Triangles are linear in mel, so interior bins between the first and
     last filter centre see weights summing to exactly 1.
     """
-    f_hi = cfg.f_hi_hz if cfg.f_hi_hz is not None else sample_rate_hz / 2.0
-    key = (fft_size, sample_rate_hz, cfg.num_filters, cfg.f_lo_hz, f_hi)
+    key = (fft_size, sample_rate_hz)
     if key in _mel_cache:
         return _mel_cache[key]
-    mel_pts = np.linspace(_hz_to_mel(cfg.f_lo_hz), _hz_to_mel(f_hi),
-                          cfg.num_filters + 2)
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate_hz / 2.0),
+                          MEL_FILTERS + 2)
     bin_mels = _hz_to_mel(dsp.bin_frequencies(fft_size, sample_rate_hz))
-    bank = np.zeros((cfg.num_filters, fft_size // 2))
-    for m in range(cfg.num_filters):
+    bank = np.zeros((MEL_FILTERS, fft_size // 2))
+    for m in range(MEL_FILTERS):
         lo, mid, hi = mel_pts[m], mel_pts[m + 1], mel_pts[m + 2]
         up = (bin_mels - lo) / (mid - lo)
         down = (hi - bin_mels) / (hi - mid)
@@ -259,18 +256,17 @@ def mel_filterbank(fft_size: int, sample_rate_hz: int,
     return bank
 
 
-def mfcc_rows(frames: np.ndarray, sample_rate_hz: int,
-              cfg: MfccConfig = DEFAULT_MFCC) -> np.ndarray:
+def mfcc_rows(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
     """Mel-frequency cepstral coefficients of each frame: (n, frame_len) ->
-    (n, num_coeffs)."""
+    (n, len(MFCC_IDS))."""
     emphasized = np.concatenate(
-        [frames[:, :1], frames[:, 1:] - cfg.pre_emphasis * frames[:, :-1]], axis=1)
+        [frames[:, :1], frames[:, 1:] - PRE_EMPHASIS * frames[:, :-1]], axis=1)
     fft_size = dsp.default_fft_size(frames.shape[1])
     mags = dsp.magnitude_spectra(emphasized, fft_size)
-    bank = mel_filterbank(fft_size, sample_rate_hz, cfg)
+    bank = mel_filterbank(fft_size, sample_rate_hz)
     energies = mags ** 2 @ bank.T
-    logs = np.log(np.maximum(energies, cfg.log_floor))
-    return dct(logs, type=2, norm="ortho", axis=1)[:, :cfg.num_coeffs]
+    logs = np.log(np.maximum(energies, LOG_FLOOR))
+    return dct(logs, type=2, norm="ortho", axis=1)[:, :len(MFCC_IDS)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +274,6 @@ def mfcc_rows(frames: np.ndarray, sample_rate_hz: int,
 
 def extract_matrix(waveform: Waveform,
                    featureset: str | Iterable[str] = "handcrafted",
-                   shs_cfg: pitch.ShsConfig = pitch.DEFAULT_SHS,
-                   mfcc_cfg: MfccConfig = DEFAULT_MFCC,
                    source_id: str = "") -> FeatureMatrix:
     """Compute the requested channels for one utterance.
 
@@ -302,16 +296,16 @@ def extract_matrix(waveform: Waveform,
     num_frames = ((x.size - dsp.samples_for_ms(PROSODIC_FRAME_MS, sr))
                   // dsp.samples_for_ms(dsp.HOP_MS, sr) + 1)
     if need_pitch or "ENERGY" in wanted:
-        frames60 = dsp.frame_signal(x, sr, PROSODIC_FRAME_MS).frames
+        frames60 = dsp.frame_signal(x, sr, PROSODIC_FRAME_MS)
     if wanted - set(PROSODIC_IDS):
-        frames20 = dsp.frame_signal(x, sr, OTHER_FRAME_MS).frames[:num_frames]
+        frames20 = dsp.frame_signal(x, sr, OTHER_FRAME_MS)[:num_frames]
 
     rows = {}
     if need_pitch:
         k60 = dsp.default_fft_size(frames60.shape[1])
         f0s, vprobs = pitch.shs_batch(dsp.magnitude_spectra(frames60, k60),
-                                      k60, sr / k60, shs_cfg)
-        f0s = np.where(vprobs >= shs_cfg.voicing_threshold, f0s, 0.0)
+                                      k60, sr / k60)
+        f0s = np.where(vprobs >= pitch.VOICING_THRESHOLD, f0s, 0.0)
         rows["F0"], rows["VPROB"] = f0s, vprobs
     if "ENERGY" in wanted:
         rows["ENERGY"] = energy_rows(frames60)
@@ -327,7 +321,7 @@ def extract_matrix(waveform: Waveform,
     if "ZCR" in wanted:
         rows["ZCR"] = zcr_rows(frames20, sr)
     if wanted & set(MFCC_IDS):
-        rows.update(zip(MFCC_IDS, mfcc_rows(frames20, sr, mfcc_cfg).T))
+        rows.update(zip(MFCC_IDS, mfcc_rows(frames20, sr).T))
 
     values = np.vstack([rows[c] for c in channels])
     if not np.all(np.isfinite(values)):

@@ -26,8 +26,6 @@ class Segment:
 
     matrix: np.ndarray  # (channels, segment_frames), pad region exactly zero
     pad_frames: int
-    parent_id: str
-    label: str | None = None  # training only
 
 
 def first_quartile(durations: Sequence[float]) -> float:
@@ -57,8 +55,7 @@ def segment_frames(segment_duration_s: float) -> int:
     return int(round(segment_duration_s / (dsp.HOP_MS / 1000.0)))
 
 
-def split(matrix: FeatureMatrix, segment_duration_s: float,
-          label: str | None = None) -> list[Segment]:
+def split(matrix: FeatureMatrix, segment_duration_s: float) -> list[Segment]:
     """Split into ceil(d_u/d_s) segments; only the last is zero padded.
 
     Concatenating the segments and dropping the padding reproduces the
@@ -76,8 +73,7 @@ def split(matrix: FeatureMatrix, segment_duration_s: float,
         if pad:
             chunk = np.concatenate(
                 [chunk, np.zeros((chunk.shape[0], pad))], axis=1)
-        segments.append(Segment(matrix=chunk, pad_frames=pad,
-                                parent_id=matrix.source_id, label=label))
+        segments.append(Segment(matrix=chunk, pad_frames=pad))
     return segments
 
 

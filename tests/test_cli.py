@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from lctid import cli, corpus, experiments
 
 SYNTH = ["synth", "--out", "corp", "--count", "12", "--dur-min", "0.5",
@@ -85,3 +87,33 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{key} = " in err and "is not one of" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_extract_and_plot_reject_other_sample_rates(tmp_path, capsys, caplog):
+    # the same 16 kHz check as train and eval; there is no resampler
+    wav = tmp_path / "slow.wav"
+    corpus.write_wav(wav, corpus.Waveform(np.zeros(8000), 8000))
+    corpus.save_manifest(corpus.CorpusManifest(records=(
+        corpus.UtteranceRecord("slow", str(wav), "LT"),)), tmp_path / "m.tsv")
+    assert cli.main(["extract", "--manifest", str(tmp_path / "m.tsv"),
+                     "--out", str(tmp_path / "csv")]) == 1
+    assert "sample rate 8000 Hz" in caplog.text
+    assert not (tmp_path / "csv" / "slow.csv").exists()
+    assert cli.main(["plot", "--wav-a", str(wav), "--wav-b", str(wav),
+                     "--feature", "F0", "--out", str(tmp_path / "p.svg")]) == 1
+    assert "sample rate 8000 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("config", [None, "jobs = 2"])
+def test_jobs_is_a_usage_error(tmp_path, capsys, config):
+    argv = ["extract", "--manifest", str(tmp_path / "m.tsv"),
+            "--out", str(tmp_path / "csv")]
+    if config is None:
+        argv += ["--jobs", "2"]
+    else:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = ["--config", str(tmp_path / "run.cfg")] + argv
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2

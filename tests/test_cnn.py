@@ -114,26 +114,29 @@ class TestForward:
     def test_infer_is_deterministic(self):
         model = cnn.build("CA02", 40, 3, seed=1)
         x = np.random.default_rng(3).standard_normal((40, 3))
-        a = cnn.forward(model, x)
-        b = cnn.forward(model, x)
+        a = cnn.forward_batch(model, x[None])[0]
+        b = cnn.forward_batch(model, x[None])[0]
         assert np.array_equal(a, b)
 
     def test_train_mode_dropout_is_stochastic(self):
         model = cnn.build("CA02", 40, 3, seed=1)
         x = np.random.default_rng(4).standard_normal((40, 3))
         # build zero-initialises the classifier: uniform output whatever the mask
-        fresh = cnn.forward(model, x, mode="train", rng=np.random.default_rng(1))
+        fresh = cnn.forward_batch(model, x[None], train=True,
+                                  rng=np.random.default_rng(1))[0]
         assert np.array_equal(fresh, [0.5, 0.5])
         head = model.layers[-1]
         wrng = np.random.default_rng(5)
         head.weights = wrng.normal(0, 0.05, head.weights.shape).astype(np.float32)
-        a = cnn.forward(model, x, mode="train", rng=np.random.default_rng(1))
-        b = cnn.forward(model, x, mode="train", rng=np.random.default_rng(2))
+        a = cnn.forward_batch(model, x[None], train=True,
+                              rng=np.random.default_rng(1))[0]
+        b = cnn.forward_batch(model, x[None], train=True,
+                              rng=np.random.default_rng(2))[0]
         assert not np.array_equal(a, b)
 
     def test_zero_input_matches_bias_only_oracle(self):
         model = tiny_model(seed=9)
-        got = cnn.forward(model, np.zeros((8, 2)))
+        got = cnn.forward_batch(model, np.zeros((8, 2))[None])[0]
         # propagate per-channel constants: zero input makes every activation
         # constant across time until Flatten
         const = np.zeros(2)
@@ -177,7 +180,7 @@ class TestForward:
     def test_shape_mismatch_at_inference(self):
         model = cnn.build("CA02", 40, 10, seed=0)
         with pytest.raises(cnn.ShapeMismatchError):
-            cnn.forward(model, np.zeros((40, 8)))
+            cnn.forward_batch(model, np.zeros((40, 8))[None])
 
 
 class TestTraining:
@@ -419,7 +422,8 @@ class TestSerialization:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.standard_normal((60, 4))
-            assert np.array_equal(cnn.forward(model, x), cnn.forward(back, x))
+            assert np.array_equal(cnn.forward_batch(model, x[None])[0],
+                                  cnn.forward_batch(back, x[None])[0])
 
     def test_norm_round_trips_bit_exact(self, tmp_path):
         model = cnn.build("CA02", 40, 5, seed=3)
@@ -497,7 +501,7 @@ class TestSerialization:
         cnn.save(model, norm_for(model), path)
         back, _ = cnn.load(path)
         with pytest.raises(cnn.ShapeMismatchError):
-            cnn.forward(back, np.zeros((40, 3)))
+            cnn.forward_batch(back, np.zeros((40, 3))[None])
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.lct", tmp_path / "b.lct"

@@ -108,6 +108,15 @@ class TestWav:
         with pytest.raises(CorpusError, match="RIFF"):
             read_wav(p)
 
+    @pytest.mark.parametrize("field", [{"channels": 0}, {"rate": 0}])
+    def test_zero_channels_or_rate_rejected(self, tmp_path, field):
+        p = tmp_path / "z.wav"
+        p.write_bytes(raw_wav_bytes(struct.pack("<100h", *range(100)), **field))
+        with pytest.raises(CorpusError, match="fmt chunk declares"):
+            read_wav(p)
+        with pytest.raises(CorpusError, match="fmt chunk declares"):
+            wav_duration_s(p)
+
     def test_pcm16_round_trip_within_one_lsb(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.99, 0.99, 5000)

@@ -17,29 +17,40 @@ def direct_dft_magnitudes(x, fft_size):
 
 
 class TestFraming:
+    HOP = dsp.samples_for_ms(dsp.HOP_MS, SR)
+
     def test_one_second_20ms(self):
-        fs = dsp.frame_signal(np.zeros(SR), SR, 20.0, 10.0)
-        assert fs.num_frames == 99
-        assert fs.frame_len == 320
+        frames = dsp.frame_signal(np.zeros(SR), SR, 20.0)
+        assert isinstance(frames, np.ndarray)
+        assert frames.shape == (99, 320)
 
     def test_187_grid_geometry(self):
         # 1.87 s yields 186 raw 20 ms frames; the 187-frame segment grid is
         # reached downstream by padding.
         n = int(1.87 * SR)
-        fs = dsp.frame_signal(np.zeros(n), SR, 20.0, 10.0)
-        assert fs.num_frames == 186
+        assert dsp.frame_signal(np.zeros(n), SR, 20.0).shape == (186, 320)
+
+    @pytest.mark.parametrize("frame_ms", [20.0, 60.0])
+    def test_shape_law(self, frame_ms):
+        # every frame that fits on the hop grid, and no more
+        flen = dsp.samples_for_ms(frame_ms, SR)
+        for n in (flen, flen + 1, flen + self.HOP - 1, flen + self.HOP, 23456):
+            frames = dsp.frame_signal(np.zeros(n), SR, frame_ms)
+            count = (n - flen) // self.HOP + 1
+            assert frames.shape == (count, flen)
+            assert (count - 1) * self.HOP + flen <= n < count * self.HOP + flen
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            dsp.frame_signal(np.zeros(100), SR, 20.0, 10.0)
+            dsp.frame_signal(np.zeros(100), SR, 20.0)
 
     def test_frame_content_is_exact_slice(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(SR)
-        fs = dsp.frame_signal(x, SR, 20.0, 10.0)
-        hop, flen = fs.hop, fs.frame_len
-        for i in (0, 1, 17, fs.num_frames - 1):
-            assert np.array_equal(fs.frames[i], x[i * hop:i * hop + flen])
+        frames = dsp.frame_signal(x, SR, 20.0)
+        flen = frames.shape[1]
+        for i in (0, 1, 17, len(frames) - 1):
+            assert np.array_equal(frames[i], x[i * self.HOP:i * self.HOP + flen])
 
     def test_60ms_uses_1024_fft(self):
         assert dsp.default_fft_size(960) == 1024

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctid import dsp, features, pitch
 from conftest import SR, harmonic_tone
@@ -26,7 +27,7 @@ class TestShsEstimate:
         (f0,), (vp,) = shs_60ms(x)
         assert 198.0 <= f0 <= 202.0
         assert abs(f0 - autocorr_f0(x)) < 5.0
-        assert vp > pitch.DEFAULT_SHS.voicing_threshold
+        assert vp > pitch.VOICING_THRESHOLD
 
     def test_missing_fundamental(self):
         # harmonics at 400/600/800 Hz only; true fundamental 200 Hz is absent
@@ -40,11 +41,54 @@ class TestShsEstimate:
         _, probs = shs_60ms(noise)
         assert np.mean(probs) < 0.3
 
-    def test_eq3_edge_amp_equals_mean(self):
-        assert pitch.voicing_probability(1.5, 1.5) == 0.0
-        assert pitch.voicing_probability(3.0, 1.5) == 0.5
-        assert pitch.voicing_probability(1.0, 2.0) == 0.0  # clamped
-        assert pitch.voicing_probability(0.0, 1.0) == 0.0
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           zero_rows=st.lists(st.booleans(), min_size=1, max_size=8),
+           density=st.floats(0.0, 1.0),
+           scale=st.floats(1e-6, 1e6))
+    def test_eq3_edge_amp_equals_mean(self, seed, zero_rows, density, scale):
+        rng = np.random.default_rng(seed)
+        n = len(zero_rows)
+        mags = scale * rng.uniform(0.0, 1.0, (n, 512))
+        mags[rng.uniform(0.0, 1.0, (n, 512)) >= density] = 0.0
+        mags[np.array(zero_rows)] = 0.0
+        f0, vprob = pitch.shs_batch(mags, 1024, SR / 1024)
+        kernel = pitch._kernel(1024, SR / 1024)
+        for r in range(n):
+            s = kernel.weights @ mags[r]
+            if not s.max() > 0.0:
+                assert f0[r] == 0.0 and vprob[r] == 0.0
+                continue
+            i = int(np.argmax(s))
+            eq = s / kernel.flat_response
+            assert vprob[r] == pytest.approx(
+                np.clip(1.0 - eq.mean() / eq[i], 0.0, 1.0), abs=1e-12)
+            # f0 sits at the vertex of the parabola through the argmax and
+            # its neighbours, in grid steps of log frequency
+            step = np.log2(f0[r] / kernel.grid_hz[i]) / kernel.log_step
+            assert abs(step) <= 0.5 + 1e-9
+            if 0 < i < s.size - 1:
+                a, b, _ = np.polyfit([-1.0, 0.0, 1.0], s[i - 1:i + 2], 2)
+                if a < -1e-6 * s[i]:
+                    assert step == pytest.approx(-b / (2.0 * a), abs=1e-6)
+            else:
+                assert step == 0.0
+            # alone, the row reads the same; not bit for bit, since BLAS may
+            # sum a lone row in another order than a stack
+            (f0_alone,), (vprob_alone,) = pitch.shs_batch(mags[r:r + 1], 1024,
+                                                          SR / 1024)
+            assert f0_alone == pytest.approx(f0[r], rel=1e-9)
+            assert vprob_alone == pytest.approx(vprob[r], abs=1e-12)
+
+    def test_flat_equalised_sum_is_unvoiced(self):
+        # a flat spectrum's sum is the flat response: peak equals mean
+        spectra = np.ones((2, 512))
+        # a bump at 94-125 Hz lifts the equalised mean above the equalised
+        # peak, which stays at the 400 Hz end: 1 - mean/peak < 0 is clamped
+        spectra[1, 5:8] += 1.0
+        _, vps = pitch.shs_batch(spectra, 1024, SR / 1024)
+        assert vps[0] == pytest.approx(0.0, abs=1e-12)
+        assert vps[1] == 0.0
 
     def test_degenerate_spectrum(self):
         (f0,), (vp,) = shs_60ms(np.zeros(960))

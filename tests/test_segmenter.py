@@ -8,11 +8,10 @@ from lctid.features import FeatureMatrix
 from lctid.segmenter import aggregate, first_quartile, segment_frames, split
 
 
-def matrix(frames, channels=3, seed=0, source="utt"):
+def matrix(frames, channels=3, seed=0):
     rng = np.random.default_rng(seed)
     return FeatureMatrix(values=rng.standard_normal((channels, frames)),
-                         channel_ids=tuple(f"C{i}" for i in range(channels)),
-                         source_id=source)
+                         channel_ids=tuple(f"C{i}" for i in range(channels)))
 
 
 class TestFirstQuartile:
@@ -73,10 +72,6 @@ class TestSplit:
         last = segs[-1]
         if last.pad_frames:
             assert np.all(last.matrix[:, -last.pad_frames:] == 0.0)
-
-    def test_label_and_parent_propagate(self):
-        segs = split(matrix(200, source="utt7"), 0.5, label="CT")
-        assert all(s.parent_id == "utt7" and s.label == "CT" for s in segs)
 
     def test_segment_count_law_random(self):
         rng = np.random.default_rng(5)
