@@ -15,10 +15,15 @@ max-pooling and dropout, then one or two ReLU dense layers and a final
 [7, 7, 3, 3]; CA03 has dense widths [1024, 512] instead of [1024].
 
 The network ends at its logits; `forward_batch` applies the softmax.
-Training takes the cross-entropy on the logits and backpropagates its
-gradient p - y from there, so a saturated wrong prediction keeps a
-gradient of full size instead of a clamped zero.  A model file also holds
-the channel ids and z-score statistics the model was trained on.
+`cross_entropy` takes the loss on the logits, for training and for the
+validation loss alike, and backpropagates its gradient p - y from there,
+so a saturated wrong prediction keeps a gradient of full size instead of a
+clamped zero.
+
+One constructor makes every network from `build`'s arguments: `build`
+draws its initial parameters, and `load` reads them from a model file.
+The file holds those arguments, the channel ids and z-score statistics
+the model was trained on, and the parameters.
 """
 
 from __future__ import annotations
@@ -60,19 +65,13 @@ class TrainingDivergedError(RuntimeError):
 class Conv1D:
     kind = "conv"
 
-    def __init__(self, kernel_len: int, in_channels: int, out_channels: int,
-                 weights: np.ndarray | None = None,
-                 biases: np.ndarray | None = None):
+    def __init__(self, kernel_len: int, in_channels: int, out_channels: int):
         self.kernel_len = kernel_len
         self.in_channels = in_channels
         self.out_channels = out_channels
-        shape = (kernel_len, in_channels, out_channels)
-        self.weights = (np.zeros(shape, dtype=np.float32)
-                        if weights is None else np.asarray(weights, dtype=np.float32))
-        self.biases = (np.zeros(out_channels, dtype=np.float32)
-                       if biases is None else np.asarray(biases, dtype=np.float32))
-        if self.weights.shape != shape or self.biases.shape != (out_channels,):
-            raise ShapeMismatchError("conv parameter shapes do not match layer spec")
+        self.weights = np.zeros((kernel_len, in_channels, out_channels),
+                                dtype=np.float32)
+        self.biases = np.zeros(out_channels, dtype=np.float32)
 
     @property
     def num_params(self) -> int:
@@ -229,18 +228,11 @@ class Flatten:
 class Dense:
     kind = "dense"
 
-    def __init__(self, in_features: int, out_features: int,
-                 weights: np.ndarray | None = None,
-                 biases: np.ndarray | None = None):
+    def __init__(self, in_features: int, out_features: int):
         self.in_features = in_features
         self.out_features = out_features
-        self.weights = (np.zeros((in_features, out_features), dtype=np.float32)
-                        if weights is None else np.asarray(weights, dtype=np.float32))
-        self.biases = (np.zeros(out_features, dtype=np.float32)
-                       if biases is None else np.asarray(biases, dtype=np.float32))
-        if self.weights.shape != (in_features, out_features) \
-                or self.biases.shape != (out_features,):
-            raise ShapeMismatchError("dense parameter shapes do not match layer spec")
+        self.weights = np.zeros((in_features, out_features), dtype=np.float32)
+        self.biases = np.zeros(out_features, dtype=np.float32)
 
     @property
     def num_params(self) -> int:
@@ -288,9 +280,13 @@ class Model:
     def num_params(self) -> int:
         return sum(l.num_params for l in self.layers)
 
+    def trainable(self) -> list:
+        """The Conv1D and Dense layers, in network order."""
+        return [l for l in self.layers if isinstance(l, (Conv1D, Dense))]
+
     def parameter_counts(self) -> list[int]:
         """Per trainable layer (conv/dense), in network order."""
-        return [l.num_params for l in self.layers if l.num_params > 0]
+        return [l.num_params for l in self.trainable()]
 
     def shape_chain(self) -> list[int]:
         """Time/unit extent after every shape-changing layer, input first."""
@@ -337,30 +333,40 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
     """Construct a CA01/CA02/CA03 model with He-uniform initialization.
 
     The final classifier layer starts at zero so a fresh network outputs
-    the uniform distribution for every input.
+    the uniform distribution for every input.  Raises ValueError (or its
+    subclass ShapeMismatchError) for arguments no network can take.
+    """
+    model = _network(arch_id, input_frames, in_channels, seed,
+                     conv_dropout, dense_dropout)
+    rng = np.random.default_rng(seed)
+    for layer in model.trainable()[:-1]:  # the classifier stays zero
+        fan_in = layer.weights[..., 0].size  # kernel_len * in_channels, or in_features
+        limit = np.sqrt(6.0 / fan_in)
+        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+    return model
+
+
+def _network(arch_id: str, input_frames: int, in_channels: int, seed: int,
+             conv_dropout: float, dense_dropout: float) -> Model:
+    """The model `build` makes, with every parameter still zero.
+
+    `build` and `load` write their parameters into these arrays in place.
+    numpy takes a large zero array as fresh pages that cost memory only
+    once written, so a corrupt header that asks for a huge network costs
+    none before `load` finds the file too short for it.
     """
     if arch_id not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch_id!r}; "
                          f"choose from {sorted(ARCHITECTURES)}")
+    if in_channels < 1:
+        raise ValueError(f"in_channels must be >= 1, got {in_channels}")
     spec = ARCHITECTURES[arch_id]
-    rng = np.random.default_rng(seed)
-
-    def he_uniform(shape, fan_in):
-        limit = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
     layers: list = []
-    kernels = spec["kernels"]
     chans = (in_channels,) + CONV_CHANNELS
-    for pair in range(2):
-        for j in range(2):
-            k = kernels[pair * 2 + j]
-            cin, cout = chans[pair * 2 + j], chans[pair * 2 + j + 1]
-            layers.append(Conv1D(k, cin, cout,
-                                 weights=he_uniform((k, cin, cout), k * cin)))
-            layers.append(ReLU())
-        layers.append(MaxPool(2))
-        layers.append(Dropout(conv_dropout))
+    for i, kernel_len in enumerate(spec["kernels"]):
+        layers += [Conv1D(kernel_len, chans[i], chans[i + 1]), ReLU()]
+        if i % 2:  # after each pair of conv layers
+            layers += [MaxPool(2), Dropout(conv_dropout)]
     layers.append(Flatten())
 
     shape = (input_frames, in_channels)
@@ -368,12 +374,11 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
         shape = layer.out_shape(shape)
     (units,) = shape
     for width in spec["dense"]:
-        layers.append(Dense(units, width,
-                            weights=he_uniform((units, width), units)))
+        layers.append(Dense(units, width))
         layers.append(ReLU())
         layers.append(Dropout(dense_dropout))
         units = width
-    layers.append(Dense(units, NUM_CLASSES))  # zero-initialized classifier
+    layers.append(Dense(units, NUM_CLASSES))
 
     return Model(layers=layers, arch_id=arch_id, input_frames=input_frames,
                  in_channels=in_channels, rng_seed=seed)
@@ -385,8 +390,7 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
 def _in_compute_dtype(model: Model, x) -> np.ndarray:
     """`x` cast to the dtype the network computes in, that of its first
     trainable layer's weights; no copy when it is in that dtype already."""
-    dtype = next(l.weights.dtype for l in model.layers
-                 if isinstance(l, (Conv1D, Dense)))
+    dtype = model.trainable()[0].weights.dtype
     with np.errstate(over="ignore"):  # forward_batch reports the overflow
         return np.asarray(x, dtype=dtype)
 
@@ -433,22 +437,10 @@ def _as_target_matrix(targets, batch: int) -> np.ndarray:
     return t.astype(np.float64)
 
 
-def cross_entropy(probs: np.ndarray, targets) -> float:
-    """Mean cross-entropy of probabilities the model has already produced.
-
-    Targets may be class indices or full distributions (rows sum to 1).
-    Probabilities are clamped at 1e-12, which caps the loss of a saturated
-    wrong prediction, so training does not use this (it takes the loss on
-    the logits, `_logit_loss`); it scores the validation loss in `train`.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    y = _as_target_matrix(targets, probs.shape[0])
-    return float(-(y * np.log(np.maximum(probs, 1e-12))).sum() / probs.shape[0])
-
-
-def _logit_loss(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
+def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(logits) and its gradient (p - y) / B.
 
+    Targets may be class indices or full distributions (rows sum to 1).
     Taken as logsumexp(z) - z_y in float64, without clamping, so the loss
     and the gradient stay exact when the softmax saturates; the gradient
     is returned in the logits' dtype.
@@ -466,7 +458,7 @@ def _loss_and_grads(model: Model, inputs: np.ndarray, targets,
     every trainable layer."""
     logits, caches = forward_batch(model, inputs, train=True, rng=rng,
                                    want_caches=True, logits=True)
-    loss, grad = _logit_loss(logits, targets)
+    loss, grad = cross_entropy(logits, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"loss diverged (loss={loss})")
     found = []
@@ -571,8 +563,8 @@ def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
                                          config.learning_rate, rng))
         history["train_loss"].append(float(np.mean(losses)))
         if val_inputs is not None and len(val_inputs):
-            probs = forward_batch(model, val_inputs)
-            val_loss = cross_entropy(probs, val_targets)
+            val_loss = cross_entropy(forward_batch(model, val_inputs, logits=True),
+                                     val_targets)[0]
             history["val_loss"].append(val_loss)
             if val_loss < best_val - 1e-6:
                 best_val = val_loss
@@ -608,7 +600,7 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
     def loss_at() -> float:
         z = forward_batch(work, x, train=True, rng=np.random.default_rng(0),
                           logits=True)
-        return _logit_loss(z, y)[0]
+        return cross_entropy(z, y)[0]
 
     worst = 0.0
     for layer, name, g_analytic in analytic:
@@ -641,29 +633,16 @@ def _float64_copy(model: Model) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Serialization, little-endian.  Version 2: magic "LCT1", version <H, arch
-# id, seed <Q, input_frames <I, in_channels <I; the channel count <I, then
-# per channel its id and its z-score mean and std as <f8, so inference
-# normalises bit-exactly as training did; the layer count <I, then per
-# layer its kind code <B and the fields of _LAYER_CODES.  Text is a <B
-# length plus UTF-8.  The network ends at its logits, so no softmax record.
-# Version 1 held no channels or statistics and is rejected.
+# Serialization, little-endian.  Version 3: magic "LCT1", version <H; the
+# arguments of `build`: arch id, seed <Q, input_frames <I, in_channels <I,
+# conv and dense dropout rates <d; the channel count <I, then per channel
+# its id and its z-score mean and std as <f8, so inference normalises
+# bit-exactly as training did; then the float32 weights and biases of every
+# Conv1D and Dense in network order, shaped as `build` shapes them.  Text
+# is a <B length plus UTF-8.  Versions 1 and 2 are rejected.
 
 _MAGIC = b"LCT1"
-_VERSION = 2
-
-# Kind code -> layer class, struct format and the constructor arguments it
-# stores.  Conv1D and Dense follow them with float32 weights, shaped as
-# those arguments, and biases.
-_LAYER_CODES = {
-    0: (Conv1D, "<III", ("kernel_len", "in_channels", "out_channels")),
-    1: (ReLU, "<", ()),
-    2: (MaxPool, "<I", ("width",)),
-    3: (Dropout, "<d", ("rate",)),
-    4: (Flatten, "<", ()),
-    5: (Dense, "<II", ("in_features", "out_features")),
-}
-_CODE_OF = {cls: code for code, (cls, _, _) in _LAYER_CODES.items()}
+_VERSION = 3
 
 
 def _text(value: str) -> bytes:
@@ -677,20 +656,17 @@ def save(model: Model, norm: NormStats, path: str | Path) -> None:
             == model.in_channels):
         raise ValueError(f"normalisation has {len(norm.channel_ids)} channels "
                          f"but the model takes {model.in_channels}")
+    # build puts the conv dropout first and the dense dropout last
+    rates = [l.rate for l in model.layers if isinstance(l, Dropout)]
     out = bytearray(_MAGIC + struct.pack("<H", _VERSION) + _text(model.arch_id))
-    out += struct.pack("<QIII", model.rng_seed, model.input_frames,
-                       model.in_channels, len(norm.channel_ids))
+    out += struct.pack("<QIIddI", model.rng_seed, model.input_frames,
+                       model.in_channels, rates[0], rates[-1],
+                       len(norm.channel_ids))
     for channel_id, mean, std in zip(norm.channel_ids, norm.mean, norm.std):
         out += _text(channel_id) + struct.pack("<dd", mean, std)
-    out += struct.pack("<I", len(model.layers))
-    for layer in model.layers:
-        code = _CODE_OF[type(layer)]
-        _, fmt, names = _LAYER_CODES[code]
-        out += struct.pack("<B", code)
-        out += struct.pack(fmt, *(getattr(layer, n) for n in names))
-        if isinstance(layer, (Conv1D, Dense)):
-            out += layer.weights.astype("<f4").tobytes()
-            out += layer.biases.astype("<f4").tobytes()
+    for layer in model.trainable():
+        out += layer.weights.astype("<f4").tobytes()
+        out += layer.biases.astype("<f4").tobytes()
     Path(path).write_bytes(bytes(out))
 
 
@@ -710,10 +686,14 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
+        return np.frombuffer(self.take(4 * count), dtype="<f4")
 
     def text(self) -> str:
-        return self.take(self.unpack("<B")[0]).decode("utf-8")
+        raw = self.take(self.unpack("<B")[0])
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFileError(f"model file holds invalid UTF-8 {raw!r}") from None
 
 
 def _read_norm(r: _Reader, in_channels: int) -> NormStats:
@@ -738,35 +718,40 @@ def _read_norm(r: _Reader, in_channels: int) -> NormStats:
 
 
 def load(path: str | Path) -> tuple[Model, NormStats]:
-    """Read a version-2 model file: the model and its normalisation."""
+    """Read a version-3 model file: the model and its normalisation.
+
+    The header's `build` arguments make the network, and every Conv1D and
+    Dense takes exactly as many floats from the file as it holds.  Raises
+    ModelFileError for a header `build` rejects, a file whose size does not
+    fit the network, and a non-finite parameter.
+    """
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != _MAGIC:
         raise ModelFileError("not a model file (bad magic)")
     (version,) = r.unpack("<H")
-    if version == 1:
+    if version in (1, 2):
         raise ModelFileError(
-            "model file version 1 holds no channel ids or normalisation "
-            "statistics; retrain the model to write version 2")
+            f"model file version {version} predates the version-{_VERSION} "
+            f"format; retrain the model to write version {_VERSION}")
     if version != _VERSION:
         raise ModelFileError(f"unsupported model file version {version}")
     arch_id = r.text()
-    seed, input_frames, in_channels = r.unpack("<QII")
+    seed, input_frames, in_channels, conv_dropout, dense_dropout = \
+        r.unpack("<QIIdd")
     norm = _read_norm(r, in_channels)
-    (n_layers,) = r.unpack("<I")
-    layers: list = []
-    for _ in range(n_layers):
-        (code,) = r.unpack("<B")
-        if code not in _LAYER_CODES:
-            raise ModelFileError(f"unknown layer kind code {code}")
-        cls, fmt, _ = _LAYER_CODES[code]
-        args = r.unpack(fmt)
-        if cls in (Conv1D, Dense):
-            weights = r.floats(int(np.prod(args))).reshape(args)
-            layers.append(cls(*args, weights=weights, biases=r.floats(args[-1])))
-        else:
-            layers.append(cls(*args))
-    if r.pos != len(r.data):
-        raise ModelFileError("trailing bytes in model file")
-    model = Model(layers=layers, arch_id=arch_id, input_frames=input_frames,
-                  in_channels=in_channels, rng_seed=seed)
+    try:
+        model = _network(arch_id, input_frames, in_channels, seed,
+                         conv_dropout, dense_dropout)
+    except (ValueError, MemoryError) as exc:
+        raise ModelFileError(f"model file header: {exc}") from None
+    have, need = len(r.data) - r.pos, 4 * model.num_params
+    if have != need:
+        raise ModelFileError(
+            f"corrupt or truncated model file: {have} bytes of parameters, "
+            f"where {arch_id} on ({input_frames}, {in_channels}) holds {need}")
+    for layer in model.trainable():
+        for params in (layer.weights, layer.biases):
+            params[...] = r.floats(params.size).reshape(params.shape)
+            if not np.isfinite(params).all():
+                raise ModelFileError("model file holds a non-finite parameter")
     return model, norm

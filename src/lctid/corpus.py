@@ -176,6 +176,10 @@ def _parse_wav(data: bytes, path) -> tuple[int, int, int, bytes]:
         raise CorpusError(
             f"{path}: unsupported encoding (format {format_code}, {bits}-bit); "
             "only PCM16 and IEEE float32 are supported")
+    frame_bytes = bits // 8 * channels
+    if len(payload) % frame_bytes:
+        raise CorpusError(f"{path}: data chunk of {len(payload)} bytes is not a "
+                          f"whole number of {frame_bytes}-byte sample frames")
     return format_code, channels, rate, payload
 
 
@@ -194,8 +198,7 @@ def read_wav(path: str | Path) -> Waveform:
     else:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if channels > 1:
-        usable = (samples.size // channels) * channels
-        samples = samples[:usable].reshape(-1, channels).mean(axis=1)
+        samples = samples.reshape(-1, channels).mean(axis=1)
     samples = np.clip(samples, -1.0, 1.0)
     if samples.size == 0:
         raise CorpusError(f"{path}: empty audio data")

@@ -1,11 +1,12 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from lctid import cli, corpus, experiments
+from lctid import cli, cnn, corpus, experiments, features
 
 SYNTH = ["synth", "--out", "corp", "--count", "12", "--dur-min", "0.5",
          "--dur-max", "0.8", "--seed", "3"]
@@ -117,3 +118,23 @@ def test_jobs_is_a_usage_error(tmp_path, capsys, config):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("edit", ["version 2", "relabelled arch"])
+def test_eval_rejects_a_bad_model_file(tmp_path, capsys, edit):
+    model = cnn.build("CA02", 40, 3, seed=0)
+    path = tmp_path / "model.lct"
+    cnn.save(model, features.NormStats(mean=np.zeros(3), std=np.ones(3),
+                                       channel_ids=features.ALL_IDS[:3]), path)
+    blob = path.read_bytes()
+    if edit == "version 2":
+        blob = blob[:4] + struct.pack("<H", 2) + blob[6:]
+    else:
+        blob = blob.replace(b"CA02", b"CA03", 1)
+    path.write_bytes(blob)
+    assert cli.main(["eval", "--model", str(path),
+                     "--manifest", str(tmp_path / "m.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("retrain" if edit == "version 2" else "CA03 on (40, 3)") in err
+    assert "Traceback" not in err

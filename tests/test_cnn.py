@@ -1,7 +1,9 @@
+import itertools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctid import cnn
 from lctid.features import ALL_IDS, NormStats
@@ -40,16 +42,17 @@ class TestConv1D:
         assert out.shape == (1, 181, 32)
 
     def test_identity_kernel(self):
-        conv = cnn.Conv1D(1, 1, 1, weights=np.ones((1, 1, 1)), biases=np.zeros(1))
+        conv = cnn.Conv1D(1, 1, 1)
+        conv.weights = np.ones((1, 1, 1), dtype=np.float32)
         x = np.random.default_rng(0).standard_normal((1, 20, 1))
         out, _ = conv.forward(x)
         assert np.allclose(out, x, atol=1e-7)  # float32 weight cast
 
     def test_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
-        conv = cnn.Conv1D(3, 2, 1,
-                          weights=rng.standard_normal((3, 2, 1)),
-                          biases=rng.standard_normal(1))
+        conv = cnn.Conv1D(3, 2, 1)
+        conv.weights = rng.standard_normal((3, 2, 1)).astype(np.float32)
+        conv.biases = rng.standard_normal(1).astype(np.float32)
         x = rng.standard_normal((1, 12, 2))
         out, _ = conv.forward(x)
         for t in range(10):
@@ -90,6 +93,10 @@ class TestBuild:
     def test_unknown_arch(self):
         with pytest.raises(ValueError, match="unknown architecture"):
             cnn.build("CA99")
+
+    def test_no_input_channels(self):
+        with pytest.raises(ValueError, match="in_channels must be >= 1"):
+            cnn.build("CA02", 40, 0)
 
     def test_maxpool_follows_conv_pair_then_dropout(self):
         model = cnn.build("CA02", 187, 10, seed=0)
@@ -208,8 +215,9 @@ class TestTraining:
     def test_init_loss_near_ln2(self):
         model = cnn.build("CA03", 187, 10, seed=3)
         rng = np.random.default_rng(5)
-        probs = cnn.forward_batch(model, rng.standard_normal((64, 187, 10)))
-        loss = cnn.cross_entropy(probs, rng.integers(0, 2, 64))
+        logits = cnn.forward_batch(model, rng.standard_normal((64, 187, 10)),
+                                   logits=True)
+        loss, _ = cnn.cross_entropy(logits, rng.integers(0, 2, 64))
         assert loss == pytest.approx(np.log(2.0), abs=0.1)
 
     def test_zero_loss_point_gradients_vanish(self):
@@ -474,7 +482,8 @@ class TestSerialization:
         path = tmp_path / "m.lct"
         cnn.save(model, norm_for(model), path)
         blob = path.read_bytes()
-        at = 4 + 2 + 1 + len("CA02") + 16  # the channel count follows the shape
+        # the channel count follows the shape and the two dropout rates
+        at = 4 + 2 + 1 + len("CA02") + 16 + 16
         assert struct.unpack_from("<I", blob, at) == (3,)
         path.write_bytes(blob[:at] + struct.pack("<I", 2) + blob[at + 4:])
         with pytest.raises(cnn.ModelFileError, match="2 channels"):
@@ -509,3 +518,128 @@ class TestSerialization:
             model = cnn.build("CA02", 40, 3, seed=21)
             cnn.save(model, norm_for(model), path)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _saved(tmp_path, arch="CA02", frames=40, channels=3, seed=0):
+    model = cnn.build(arch, frames, channels, seed=seed)
+    path = tmp_path / f"{arch}.lct"
+    cnn.save(model, norm_for(model), path)
+    return model, path.read_bytes()
+
+
+# byte offsets of the version-3 header fields after a 4-character arch id
+# (the seed is at 11)
+_ARCH_AT, _FRAMES_AT, _CHANNELS_AT = 7, 19, 23
+_CONV_DROPOUT_AT, _DENSE_DROPOUT_AT, _COUNT_AT = 27, 35, 43
+
+
+def _patched(blob, at, fmt, value):
+    return blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
+
+
+class TestModelFile:
+    @settings(max_examples=8, deadline=None)
+    @given(arch=st.sampled_from(sorted(cnn.ARCHITECTURES)),
+           frames=st.integers(40, 90),
+           ids=st.lists(st.sampled_from(ALL_IDS), min_size=1, max_size=23,
+                        unique=True),
+           seed=st.integers(0, 2**64 - 1),
+           conv_dropout=st.floats(0.0, 1.0, exclude_max=True),
+           dense_dropout=st.floats(0.0, 1.0, exclude_max=True))
+    def test_round_trip(self, tmp_path_factory, arch, frames, ids, seed,
+                        conv_dropout, dense_dropout):
+        tmp_path = tmp_path_factory.mktemp("rt")
+        model = cnn.build(arch, frames, len(ids), seed=seed,
+                          conv_dropout=conv_dropout, dense_dropout=dense_dropout)
+        rng = np.random.default_rng(seed % 1000)
+        model.layers[-1].weights = rng.normal(
+            0, 0.05, model.layers[-1].weights.shape).astype(np.float32)
+        norm = NormStats(mean=rng.standard_normal(len(ids)),
+                         std=rng.uniform(0.1, 3.0, len(ids)), channel_ids=tuple(ids))
+        first, second = tmp_path / "a.lct", tmp_path / "b.lct"
+        cnn.save(model, norm, first)
+        back, back_norm = cnn.load(first)
+        cnn.save(back, back_norm, second)
+        assert first.read_bytes() == second.read_bytes()
+        rates = [l.rate for l in back.layers if isinstance(l, cnn.Dropout)]
+        assert rates[0] == conv_dropout and rates[-1] == dense_dropout
+        x = rng.standard_normal((3, frames, len(ids)))
+        assert np.array_equal(cnn.forward_batch(model, x),
+                              cnn.forward_batch(back, x))
+
+    @settings(max_examples=20, deadline=None)
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncated_prefix(self, tmp_path_factory, cut):
+        tmp_path = tmp_path_factory.mktemp("cut")
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(cnn.ModelFileError):
+            cnn.load(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(blob + b"\x00" * 4)
+        with pytest.raises(cnn.ModelFileError, match="bytes of parameters"):
+            cnn.load(path)
+
+    @pytest.mark.parametrize("src, dst",
+                             itertools.permutations(sorted(cnn.ARCHITECTURES), 2))
+    def test_relabelled_arch(self, tmp_path, src, dst):
+        _, blob = _saved(tmp_path, arch=src)
+        path = tmp_path / "m.lct"
+        path.write_bytes(blob.replace(src.encode(), dst.encode(), 1))
+        with pytest.raises(cnn.ModelFileError, match=f"{dst} on .*holds"):
+            cnn.load(path)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_nan_parameter(self, tmp_path, where):
+        model, blob = _saved(tmp_path)
+        at = len(blob) - 4 * model.num_params if where == "first" else len(blob) - 4
+        path = tmp_path / "m.lct"
+        path.write_bytes(_patched(blob, at, "<f", np.nan))
+        with pytest.raises(cnn.ModelFileError, match="non-finite parameter"):
+            cnn.load(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(blob.replace(b"CA02", b"CA\xff2", 1))
+        with pytest.raises(cnn.ModelFileError, match="invalid UTF-8"):
+            cnn.load(path)
+        first_id = _COUNT_AT + 4 + 1  # after the count and the id's length
+        path.write_bytes(blob[:first_id] + b"\xff" + blob[first_id + 1:])
+        with pytest.raises(cnn.ModelFileError, match="invalid UTF-8"):
+            cnn.load(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(_patched(blob, 4, "<H", 2))
+        with pytest.raises(cnn.ModelFileError, match="version 2.*retrain"):
+            cnn.load(path)
+
+    @pytest.mark.parametrize("at, fmt, value, match", [
+        (_FRAMES_AT, "<I", 5, "longer than input"),
+        # a network of about 256 TiB: refused before any of it is written
+        (_FRAMES_AT, "<I", 2**32 - 1, "model file header|bytes of parameters"),
+        (_CONV_DROPOUT_AT, "<d", 1.0, "dropout rate"),
+        (_DENSE_DROPOUT_AT, "<d", np.nan, "dropout rate"),
+        (_ARCH_AT, "<4s", b"CA99", "unknown architecture"),
+    ])
+    def test_header_build_rejects(self, tmp_path, at, fmt, value, match):
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(_patched(blob, at, fmt, value))
+        with pytest.raises(cnn.ModelFileError, match=match):
+            cnn.load(path)
+
+    def test_no_input_channels_rejected(self, tmp_path):
+        model, blob = _saved(tmp_path)
+        params = blob[len(blob) - 4 * model.num_params:]
+        header = _patched(blob[:_COUNT_AT], _CHANNELS_AT, "<I", 0)
+        path = tmp_path / "m.lct"
+        path.write_bytes(header + struct.pack("<I", 0) + params)
+        with pytest.raises(cnn.ModelFileError, match="in_channels must be >= 1"):
+            cnn.load(path)

@@ -117,6 +117,18 @@ class TestWav:
         with pytest.raises(CorpusError, match="fmt chunk declares"):
             wav_duration_s(p)
 
+    @pytest.mark.parametrize("payload, field", [
+        (b"\x00" * 101, {}),                                   # mono PCM16
+        (b"\x00" * 6, {"channels": 2}),                        # stereo PCM16
+        (b"\x00" * 10, {"format_code": 3, "bits": 32}),        # float32
+    ])
+    def test_partial_sample_frame_rejected(self, tmp_path, payload, field):
+        p = tmp_path / "odd.wav"
+        p.write_bytes(raw_wav_bytes(payload, **field))
+        for read in (read_wav, wav_duration_s):
+            with pytest.raises(CorpusError, match="odd.wav.*whole number"):
+                read(p)
+
     def test_pcm16_round_trip_within_one_lsb(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.99, 0.99, 5000)
