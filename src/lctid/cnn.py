@@ -20,10 +20,15 @@ validation loss alike, and backpropagates its gradient p - y from there,
 so a saturated wrong prediction keeps a gradient of full size instead of a
 clamped zero.
 
-One constructor makes every network from `build`'s arguments: `build`
-draws its initial parameters, and `load` reads them from a model file.
-The file holds those arguments, the channel ids and z-score statistics
-the model was trained on, and the parameters.
+One constructor, `_network`, makes every network from `build`'s
+arguments and computes its layer shapes: `build` draws its initial
+parameters, and `load` reads them from a model file.  The file holds
+those arguments, the channel ids and z-score statistics the model was
+trained on, and the parameters.
+
+A training step commits once: every layer stages its update in its
+gradients' arrays, and `train_step` binds them only after all have
+passed the finite check.
 """
 
 from __future__ import annotations
@@ -77,22 +82,14 @@ class Conv1D:
     def num_params(self) -> int:
         return self.weights.size + self.biases.size
 
-    def out_shape(self, in_shape):
-        t, c = in_shape
+    def forward(self, x):
+        b, t, c = x.shape
         if c != self.in_channels:
             raise ShapeMismatchError(
                 f"conv expects {self.in_channels} channels, got {c}")
-        if t < self.kernel_len:
-            raise ShapeMismatchError(
-                f"conv kernel {self.kernel_len} longer than input length {t}")
-        return (t - self.kernel_len + 1, self.out_channels)
-
-    def forward(self, x):
-        b, t, c = x.shape
-        t_out, _ = self.out_shape((t, c))
         win = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
         cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
-            b, t_out, self.kernel_len * c)
+            b, t - self.kernel_len + 1, self.kernel_len * c)
         w_mat = self.weights.reshape(self.kernel_len * self.in_channels,
                                      self.out_channels)
         out = cols @ w_mat + self.biases
@@ -118,31 +115,26 @@ class Conv1D:
 
 
 def _gradient_step(layer, grads: dict, lr: float) -> None:
-    """Rebind the layer's weights and biases to their update w - lr * g.
+    """Stage the update w - lr * g in the gradients' own arrays, which
+    `train_step` commits; the layer itself is not touched.
 
-    The update is computed in the parameters' dtype (the gradients are in
-    it already, and a Python float rate does not promote them).  Both new
-    arrays are computed and checked before either is assigned: a
+    Computed as (-lr) * g + w, which rounds exactly as w - lr * g, in the
+    parameters' dtype (a Python float rate does not promote it).  A
     non-finite result (a non-finite gradient, or a value past the float32
-    range) raises TrainingDivergedError and leaves the layer unchanged.
-    The old arrays are never written to.
+    range) raises TrainingDivergedError.
     """
     lr = float(lr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = {name: getattr(layer, name) - lr * grads[name]
-               for name in ("weights", "biases")}
-    for name, value in new.items():
-        if not np.isfinite(value).all():
+    for name in ("weights", "biases"):
+        g = grads[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(g, -lr, out=g)
+            np.add(g, getattr(layer, name), out=g)
+        if not np.isfinite(g).all():
             raise TrainingDivergedError(f"update made the {name} non-finite")
-    layer.weights, layer.biases = new["weights"], new["biases"]
 
 
 class ReLU:
     kind = "relu"
-    num_params = 0
-
-    def out_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x):
         return np.maximum(x, 0.0), (x > 0.0)
@@ -153,17 +145,9 @@ class ReLU:
 
 class MaxPool:
     kind = "maxpool"
-    num_params = 0
 
     def __init__(self, width: int = 2):
         self.width = width
-
-    def out_shape(self, in_shape):
-        t, c = in_shape
-        out_t = t // self.width
-        if out_t < 1:
-            raise ShapeMismatchError("maxpool output would be empty")
-        return (out_t, c)
 
     def forward(self, x):
         b, t, c = x.shape
@@ -187,15 +171,11 @@ class Dropout:
     """Inverted dropout: active only in train mode, identity at inference."""
 
     kind = "dropout"
-    num_params = 0
 
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-
-    def out_shape(self, in_shape):
-        return in_shape
 
     def forward(self, x, rng: np.random.Generator | None = None):
         if rng is None or self.rate == 0.0:
@@ -211,11 +191,6 @@ class Dropout:
 
 class Flatten:
     kind = "flatten"
-    num_params = 0
-
-    def out_shape(self, in_shape):
-        t, c = in_shape
-        return (t * c,)
 
     def forward(self, x):
         b = x.shape[0]
@@ -237,13 +212,6 @@ class Dense:
     @property
     def num_params(self) -> int:
         return self.weights.size + self.biases.size
-
-    def out_shape(self, in_shape):
-        (n,) = in_shape
-        if n != self.in_features:
-            raise ShapeMismatchError(
-                f"dense expects {self.in_features} inputs, got {n}")
-        return (self.out_features,)
 
     def forward(self, x):
         return x @ self.weights + self.biases, x
@@ -278,26 +246,11 @@ class Model:
 
     @property
     def num_params(self) -> int:
-        return sum(l.num_params for l in self.layers)
+        return sum(l.num_params for l in self.trainable())
 
     def trainable(self) -> list:
         """The Conv1D and Dense layers, in network order."""
         return [l for l in self.layers if isinstance(l, (Conv1D, Dense))]
-
-    def parameter_counts(self) -> list[int]:
-        """Per trainable layer (conv/dense), in network order."""
-        return [l.num_params for l in self.trainable()]
-
-    def shape_chain(self) -> list[int]:
-        """Time/unit extent after every shape-changing layer, input first."""
-        chain = [self.input_frames]
-        shape = (self.input_frames, self.in_channels)
-        for layer in self.layers:
-            out = layer.out_shape(shape)
-            if out != shape:
-                chain.append(out[0])
-            shape = out
-        return chain
 
 
 ARCHITECTURES = {
@@ -350,6 +303,8 @@ def _network(arch_id: str, input_frames: int, in_channels: int, seed: int,
              conv_dropout: float, dense_dropout: float) -> Model:
     """The model `build` makes, with every parameter still zero.
 
+    A conv of kernel k maps t frames to t - k + 1 and a pool maps t to
+    t // 2; the first Dense takes the t x CONV_CHANNELS[-1] values left.
     `build` and `load` write their parameters into these arrays in place.
     numpy takes a large zero array as fresh pages that cost memory only
     once written, so a corrupt header that asks for a huge network costs
@@ -363,16 +318,21 @@ def _network(arch_id: str, input_frames: int, in_channels: int, seed: int,
     spec = ARCHITECTURES[arch_id]
     layers: list = []
     chans = (in_channels,) + CONV_CHANNELS
+    t = input_frames
     for i, kernel_len in enumerate(spec["kernels"]):
+        if t < kernel_len:
+            raise ShapeMismatchError(
+                f"conv kernel {kernel_len} longer than input length {t}")
+        t -= kernel_len - 1
         layers += [Conv1D(kernel_len, chans[i], chans[i + 1]), ReLU()]
         if i % 2:  # after each pair of conv layers
+            t //= 2
+            if t < 1:
+                raise ShapeMismatchError("maxpool output would be empty")
             layers += [MaxPool(2), Dropout(conv_dropout)]
     layers.append(Flatten())
 
-    shape = (input_frames, in_channels)
-    for layer in layers:
-        shape = layer.out_shape(shape)
-    (units,) = shape
+    units = t * CONV_CHANNELS[-1]
     for width in spec["dense"]:
         layers.append(Dense(units, width))
         layers.append(ReLU())
@@ -429,21 +389,23 @@ def forward_batch(model: Model, x: np.ndarray, train: bool = False,
 
 
 def _as_target_matrix(targets, batch: int) -> np.ndarray:
+    """One-hot rows of `batch` class indices."""
     t = np.asarray(targets)
-    if t.ndim == 1:
-        onehot = np.zeros((batch, NUM_CLASSES))
-        onehot[np.arange(batch), t.astype(int)] = 1.0
-        return onehot
-    return t.astype(np.float64)
+    if t.shape != (batch,) or not np.isin(t, range(NUM_CLASSES)).all():
+        raise ValueError(f"targets must be {batch} class indices "
+                         f"in [0, {NUM_CLASSES})")
+    onehot = np.zeros((batch, NUM_CLASSES))
+    onehot[np.arange(batch), t.astype(int)] = 1.0
+    return onehot
 
 
 def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(logits) and its gradient (p - y) / B.
 
-    Targets may be class indices or full distributions (rows sum to 1).
-    Taken as logsumexp(z) - z_y in float64, without clamping, so the loss
-    and the gradient stay exact when the softmax saturates; the gradient
-    is returned in the logits' dtype.
+    Targets are class indices, one per row of `logits`.  Taken as
+    logsumexp(z) - z_y in float64, without clamping, so the loss and the
+    gradient stay exact when the softmax saturates; the gradient is
+    returned in the logits' dtype.
     """
     batch = logits.shape[0]
     y = _as_target_matrix(targets, batch)
@@ -477,8 +439,9 @@ def train_step(model: Model, inputs: np.ndarray, targets,
 
     Raises TrainingDivergedError, naming the layer, when the loss is not
     finite or when the update would make any parameter non-finite (a
-    non-finite gradient, or a value past the float32 range).  The model is
-    then left exactly as it was before the step.
+    non-finite gradient, or a value past the float32 range).  Every layer
+    stages its update before any is bound, so the model is then left
+    exactly as it was before the step.
     """
     inputs = _in_compute_dtype(model, inputs)
     if inputs.ndim != 3 or inputs.shape[0] == 0:
@@ -487,17 +450,14 @@ def train_step(model: Model, inputs: np.ndarray, targets,
     # TrainingDivergedError
     with np.errstate(over="ignore", invalid="ignore"):
         loss, updates = _loss_and_grads(model, inputs, targets, rng)
-    # apply_update rebinds a layer's arrays, so keeping the old ones is
-    # enough to undo the layers already updated when a later one diverges
-    before = [(layer, layer.weights, layer.biases) for _, layer, _ in updates]
     for i, layer, grads in updates:
         try:
             layer.apply_update(grads, learning_rate)
         except TrainingDivergedError as exc:
-            for done, weights, biases in before:
-                done.weights, done.biases = weights, biases
             raise TrainingDivergedError(
                 f"layer {i} ({layer.kind}): {exc} (loss={loss})") from None
+    for _, layer, grads in updates:  # the one commit point
+        layer.weights, layer.biases = grads["weights"], grads["biases"]
     return loss
 
 
@@ -584,10 +544,9 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
     """Max relative error of analytic vs central-difference gradients.
 
     Checks the gradients `train_step` applies to the batch `inputs`
-    (batch, frames, channels) with `targets` (class indices or
-    distributions), including their mean over the batch, on a float64 copy
-    of the model with dropout disabled; intended for small models (<= a
-    few thousand parameters).
+    (batch, frames, channels) with `targets` (class indices), including
+    their mean over the batch, on a float64 copy of the model with dropout
+    disabled; intended for small models (<= a few thousand parameters).
     """
     work = _float64_copy(model)
     x = np.asarray(inputs, dtype=np.float64)
@@ -650,14 +609,25 @@ def _text(value: str) -> bytes:
     return struct.pack("<B", len(raw)) + raw
 
 
+def _param_shapes(model: Model) -> list[tuple]:
+    return [p.shape for l in model.trainable() for p in (l.weights, l.biases)]
+
+
 def save(model: Model, norm: NormStats, path: str | Path) -> None:
-    """Write the model with the channels and normalisation it was trained on."""
+    """Write the model with the channels and normalisation it was trained on;
+    raises ValueError, writing nothing, for a model `load` would refuse."""
     if not (len(norm.channel_ids) == len(norm.mean) == len(norm.std)
             == model.in_channels):
         raise ValueError(f"normalisation has {len(norm.channel_ids)} channels "
                          f"but the model takes {model.in_channels}")
     # build puts the conv dropout first and the dense dropout last
     rates = [l.rate for l in model.layers if isinstance(l, Dropout)]
+    if not rates or _param_shapes(model) != _param_shapes(_network(
+            model.arch_id, model.input_frames, model.in_channels,
+            model.rng_seed, rates[0], rates[-1])):
+        raise ValueError(f"model is not the {model.arch_id} network build "
+                         f"makes on ({model.input_frames}, "
+                         f"{model.in_channels})")
     out = bytearray(_MAGIC + struct.pack("<H", _VERSION) + _text(model.arch_id))
     out += struct.pack("<QIIddI", model.rng_seed, model.input_frames,
                        model.in_channels, rates[0], rates[-1],

@@ -1,8 +1,8 @@
 """Training/evaluation protocol, metrics, and feature-ablation harnesses.
 
 Evaluation is always at the utterance level: per-segment softmax
-activations are averaged and the larger column wins.  Metrics are computed
-with exact rational arithmetic and converted to float at the end.
+activations are averaged and the larger column wins.  Each metric is a
+ratio of integer counts, taken as one correctly rounded division.
 
 RFE ranks features by the accuracy drop when each one is removed (k-fold
 mean per removal); IFE ranks them by the accuracy each achieves alone.
@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -69,7 +68,7 @@ class EvalReport:
 
 
 def _ratio(num: int, den: int) -> float:
-    return float(Fraction(num, den)) if den else 0.0
+    return num / den if den else 0.0
 
 
 def report_from_confusion(counts: dict[tuple[str, str], int]) -> EvalReport:
@@ -133,20 +132,14 @@ def competition_ranks(values: Sequence[float], higher_is_better: bool) -> list[i
     return ranks
 
 
-def rank_ablation_accuracies(acc_map: dict[str, float]) -> RankingTable:
-    """RFE semantics: lower accuracy-when-ablated means more impact, rank 1."""
+def _rank_accuracies(acc_map: dict[str, float], method: str) -> RankingTable:
+    """Rank 1 for the lowest accuracy-when-ablated under "rfe" (the most
+    impact) and for the highest standalone accuracy under "ife"."""
     feats = list(acc_map)
-    ranks = competition_ranks([acc_map[f] for f in feats], higher_is_better=False)
+    ranks = competition_ranks([acc_map[f] for f in feats],
+                              higher_is_better=method == "ife")
     rows = tuple(RankingRow(f, acc_map[f], r) for f, r in zip(feats, ranks))
-    return RankingTable(rows=rows, method="rfe", evaluations=len(feats))
-
-
-def rank_single_accuracies(acc_map: dict[str, float]) -> RankingTable:
-    """IFE semantics: higher standalone accuracy means rank 1."""
-    feats = list(acc_map)
-    ranks = competition_ranks([acc_map[f] for f in feats], higher_is_better=True)
-    rows = tuple(RankingRow(f, acc_map[f], r) for f, r in zip(feats, ranks))
-    return RankingTable(rows=rows, method="ife", evaluations=len(feats))
+    return RankingTable(rows=rows, method=method, evaluations=len(feats))
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +314,20 @@ def evaluate(model: cnn.Model, norm: NormStats,
 # Ablation harnesses
 
 def _mean_kfold_accuracy(dataset: Dataset, channels: Sequence[str],
-                         config: ExperimentConfig) -> tuple[float, list[EvalReport]]:
-    reports = []
+                         config: ExperimentConfig) -> float:
+    accuracies = []
     for train_idx, val_idx in kfold_indices(dataset.labels, config.folds,
                                             config.split_seed):
         report, _, _ = train_and_evaluate(dataset, channels, config,
                                           train_idx, val_idx)
-        reports.append(report)
-    return float(np.mean([r.accuracy for r in reports])), reports
+        accuracies.append(report.accuracy)
+    return float(np.mean(accuracies))
+
+
+def _check_in_dataset(feats: Sequence[str], dataset: Dataset) -> None:
+    missing = [f for f in feats if f not in dataset.channel_ids]
+    if missing:
+        raise KeyError(f"features not in dataset: {missing}")
 
 
 def rfe_round(features: Iterable[str], dataset: Dataset,
@@ -342,16 +341,14 @@ def rfe_round(features: Iterable[str], dataset: Dataset,
     feats = list(dict.fromkeys(features))
     if len(feats) < 2:
         raise ValueError("RFE needs at least 2 features")
-    missing = [f for f in feats if f not in dataset.channel_ids]
-    if missing:
-        raise KeyError(f"features not in dataset: {missing}")
+    _check_in_dataset(feats, dataset)
     acc_map = {}
     for f in feats:
         rest = [c for c in feats if c != f]
-        acc, _ = _mean_kfold_accuracy(dataset, rest, config)
+        acc = _mean_kfold_accuracy(dataset, rest, config)
         acc_map[f] = acc
         logger.info("rfe: ablated %s -> accuracy %.4f", f, acc)
-    return rank_ablation_accuracies(acc_map)
+    return _rank_accuracies(acc_map, "rfe")
 
 
 def ife(features: Iterable[str], dataset: Dataset,
@@ -360,9 +357,7 @@ def ife(features: Iterable[str], dataset: Dataset,
     feats = list(dict.fromkeys(features))
     if not feats:
         raise ValueError("IFE needs at least 1 feature")
-    missing = [f for f in feats if f not in dataset.channel_ids]
-    if missing:
-        raise KeyError(f"features not in dataset: {missing}")
+    _check_in_dataset(feats, dataset)
     train_idx, test_idx = stratified_holdout(dataset.labels,
                                              config.test_fraction,
                                              config.split_seed)
@@ -372,7 +367,7 @@ def ife(features: Iterable[str], dataset: Dataset,
                                           train_idx, test_idx)
         acc_map[f] = report.accuracy
         logger.info("ife: %s alone -> accuracy %.4f", f, report.accuracy)
-    return rank_single_accuracies(acc_map)
+    return _rank_accuracies(acc_map, "ife")
 
 
 def combine_and_eval(base: str | Iterable[str], extra: str | Iterable[str],

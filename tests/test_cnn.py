@@ -26,6 +26,28 @@ def tiny_model(seed=5):
     return m
 
 
+def forward_extents(model):
+    """Time/unit extent after every shape-changing layer, input first, as
+    the layers' own `forward` produces it on a zero input."""
+    x = np.zeros((1, model.input_frames, model.in_channels), dtype=np.float32)
+    extents = [x.shape[1]]
+    for layer in model.layers:
+        out, _ = layer.forward(x)
+        if out.shape != x.shape:
+            extents.append(out.shape[1])
+        x = out
+    return extents
+
+
+def trainable_arrays(model):
+    """Each trainable layer's (weights, biases) array objects."""
+    return [(l.weights, l.biases) for l in model.trainable()]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def norm_for(model, seed=0):
     """Normalisation statistics for the model's first `in_channels` ids."""
     rng = np.random.default_rng(seed)
@@ -71,7 +93,8 @@ class TestConv1D:
 class TestBuild:
     def test_ca02_parameter_counts(self):
         model = cnn.build("CA02", 187, 10, seed=0)
-        assert model.parameter_counts() == [2272, 7200, 6208, 12352, 2688000, 2050]
+        assert [l.num_params for l in model.trainable()] == \
+            [2272, 7200, 6208, 12352, 2688000, 2050]
 
     def test_ca02_total(self):
         model = cnn.build("CA02", 187, 10, seed=0)
@@ -79,16 +102,25 @@ class TestBuild:
 
     def test_ca02_shape_chain(self):
         model = cnn.build("CA02", 187, 10, seed=0)
-        assert model.shape_chain() == [187, 181, 175, 87, 85, 83, 41, 2624, 1024, 2]
+        assert forward_extents(model) == [187, 181, 175, 87, 85, 83, 41, 2624, 1024, 2]
 
     def test_ca01_first_conv(self):
         model = cnn.build("CA01", 187, 10, seed=0)
-        assert model.shape_chain()[1] == 178  # 187 - 10 + 1
+        assert forward_extents(model)[1] == 178  # 187 - 10 + 1
 
     def test_ca03_dense_stack(self):
         model = cnn.build("CA03", 187, 10, seed=0)
         widths = [l.out_features for l in model.layers if isinstance(l, cnn.Dense)]
         assert widths == [1024, 512, 2]
+
+    @pytest.mark.parametrize("frames, match", [
+        (5, "conv kernel 7 longer than input length 5"),
+        (13, "maxpool output would be empty"),  # at the first pool
+        (22, "maxpool output would be empty"),  # at the second pool
+    ])
+    def test_input_too_short(self, frames, match):
+        with pytest.raises(cnn.ShapeMismatchError, match=match):
+            cnn.build("CA02", frames, 3)
 
     def test_unknown_arch(self):
         with pytest.raises(ValueError, match="unknown architecture"):
@@ -220,18 +252,27 @@ class TestTraining:
         loss, _ = cnn.cross_entropy(logits, rng.integers(0, 2, 64))
         assert loss == pytest.approx(np.log(2.0), abs=0.1)
 
+    def test_targets_are_class_indices(self):
+        logits = np.zeros((2, 2), dtype=np.float32)
+        for targets in ([[0.5, 0.5], [1.0, 0.0]], [0, 1, 1], [0, -1], [0, 2],
+                        [0.7, 1.0]):
+            with pytest.raises(ValueError, match="2 class indices"):
+                cnn.cross_entropy(logits, np.array(targets))
+
     def test_zero_loss_point_gradients_vanish(self):
-        # target = output: cross-entropy gradient (p - y) is identically zero,
-        # so even at learning rate 1 no float32 parameter bit moves
+        # a saturated softmax puts probability exactly 1 on the target class:
+        # the cross-entropy gradient (p - y) is identically zero, so even at
+        # learning rate 1 no float32 parameter bit moves
         model = tiny_model(seed=7)
         for layer in model.layers:
             if isinstance(layer, cnn.Dropout):
                 layer.rate = 0.0
+        model.layers[-1].biases = np.array([0.0, 1000.0], dtype=np.float32)
         x = np.random.default_rng(2).standard_normal((1, 8, 2))
-        probs = cnn.forward_batch(model, x)
+        assert np.array_equal(cnn.forward_batch(model, x), [[0.0, 1.0]])
         before = [(l.weights.copy(), l.biases.copy())
                   for l in model.layers if hasattr(l, "weights")]
-        cnn.train_step(model, x, probs, 1.0, np.random.default_rng(4))
+        cnn.train_step(model, x, np.array([1]), 1.0, np.random.default_rng(4))
         after = [(l.weights, l.biases) for l in model.layers if hasattr(l, "weights")]
         for (w0, b0), (w1, b1) in zip(before, after):
             assert np.array_equal(w0, w1)
@@ -294,6 +335,36 @@ class TestTraining:
         for (w0, b0), (w1, b1) in zip(before, after):
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
+
+    def test_step_binds_new_arrays_and_writes_no_old_one(self):
+        model = tiny_model()
+        old = trainable_arrays(model)
+        copies = [(w.copy(), b.copy()) for w, b in old]
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        cnn.train_step(model, x, np.array([0, 1, 0, 1]), 0.1,
+                       np.random.default_rng(3))
+        for (w, b), (w0, b0), (w1, b1) in zip(old, copies, trainable_arrays(model)):
+            assert same_bits(w, w0) and same_bits(b, b0)
+            assert w1 is not w and b1 is not b
+        assert not same_bits(model.layers[-1].weights, copies[-1][0])
+
+    def test_failed_middle_update_binds_nothing(self):
+        # the layers before it have staged their updates, the ones after not
+        model = tiny_model()
+        old = trainable_arrays(model)
+        copies = [(w.copy(), b.copy()) for w, b in old]
+
+        def diverge(grads, lr):
+            raise cnn.TrainingDivergedError("update made the weights non-finite")
+
+        model.layers[7].apply_update = diverge
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        with pytest.raises(cnn.TrainingDivergedError, match="layer 7 \\(dense\\)"):
+            cnn.train_step(model, x, np.array([0, 1, 0, 1]), 0.1,
+                           np.random.default_rng(3))
+        for (w, b), (w0, b0), (w1, b1) in zip(old, copies, trainable_arrays(model)):
+            assert w1 is w and b1 is b
+            assert same_bits(w, w0) and same_bits(b, b0)
 
     def test_learning_rate_defaults_per_optimizer(self):
         assert cnn.TrainConfig(optimizer="sgd").learning_rate == 0.005
@@ -511,6 +582,17 @@ class TestSerialization:
         back, _ = cnn.load(path)
         with pytest.raises(cnn.ShapeMismatchError):
             cnn.forward_batch(back, np.zeros((40, 3))[None])
+
+    def test_save_rejects_model_load_would_refuse(self, tmp_path):
+        # tiny_model is labelled CA02 on 8 x 2, which CA02 cannot take; the
+        # other is a CA02 on 40 x 3 given a 3-way classifier
+        three_way = cnn.build("CA02", 40, 3, seed=0)
+        three_way.layers[-1] = cnn.Dense(1024, 3)
+        for model, match in ((tiny_model(), "longer than input"),
+                             (three_way, "not the CA02 network")):
+            with pytest.raises(ValueError, match=match):
+                cnn.save(model, norm_for(model), tmp_path / "m.lct")
+            assert not (tmp_path / "m.lct").exists()
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.lct", tmp_path / "b.lct"
