@@ -26,14 +26,18 @@ parameters, and `load` reads them from a model file.  The file holds
 those arguments, the channel ids and z-score statistics the model was
 trained on, and the parameters.
 
-A training step commits once: every layer stages its update in its
-gradients' arrays, and `train_step` binds them only after all have
-passed the finite check.
+A training step commits once.  Each layer keeps its weight gradient as
+the factors (X, G) of XᵀG and stages its biases' update in their
+gradient's array; `apply_update` checks both and writes nothing.  Only
+after every layer has passed does `train_step` write each layer's
+weights in place, W − lr·XᵀG as one BLAS call, and bind its new biases.
+A step that raises writes nothing.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,12 +64,15 @@ class ModelFileError(Exception):
 
 
 class TrainingDivergedError(RuntimeError):
-    pass
+    """A training step's loss is not finite, or its update could make a
+    parameter non-finite; the step then writes nothing."""
 
 
 # ---------------------------------------------------------------------------
 # Layers.  forward(x, ...) -> (out, cache); backward(grad, cache) -> dx and,
-# for trainable layers, parameter gradients stored into the given dict.
+# for trainable layers, parameter gradients stored into the given dict: the
+# biases' as an array, the weights' as the factors (X, G), whose product
+# XᵀG is the gradient of the weights reshaped to (rows, out channels).
 
 class Conv1D:
     kind = "conv"
@@ -99,9 +106,8 @@ class Conv1D:
         cols, (b, t, c) = cache
         w_mat = self.weights.reshape(self.kernel_len * self.in_channels,
                                      self.out_channels)
-        grads_out["weights"] = (cols.reshape(-1, w_mat.shape[0]).T
-                                @ grad.reshape(-1, self.out_channels)).reshape(
-            self.weights.shape)
+        grads_out["weights"] = (cols.reshape(-1, w_mat.shape[0]),
+                                grad.reshape(-1, self.out_channels))
         grads_out["biases"] = grad.sum(axis=(0, 1))
         dcols = (grad @ w_mat.T).reshape(b, -1, self.kernel_len, c)
         dx = np.zeros((b, t, c), dtype=grad.dtype)
@@ -115,22 +121,77 @@ class Conv1D:
 
 
 def _gradient_step(layer, grads: dict, lr: float) -> None:
-    """Stage the update w - lr * g in the gradients' own arrays, which
-    `train_step` commits; the layer itself is not touched.
+    """Check a layer's update and stage what `train_step` commits; the
+    layer itself is not touched.
 
-    Computed as (-lr) * g + w, which rounds exactly as w - lr * g, in the
-    parameters' dtype (a Python float rate does not promote it).  A
-    non-finite result (a non-finite gradient, or a value past the float32
-    range) raises TrainingDivergedError.
+    The biases' update b - lr * g is staged in the gradient's own array as
+    (-lr) * g + b, which rounds exactly as b - lr * g, in the parameters'
+    dtype (a Python float rate does not promote it).  The weights are
+    written later, in place, from the factors (X, G); here they must pass
+    a bound instead: every |(XᵀG)_ij| is at most rows * max|X| * max|G|,
+    and both that and max|W| + lr * that must stay below half the dtype's
+    maximum (the half leaves room for BLAS rounding).  max|W| is a running
+    upper bound kept with the array it was taken on, which only a step
+    writes in place; when there is none for the current array, or it
+    trips, the exact max|W| is taken and checked again.  The bound is
+    stricter than a finite check of the written weights: it refuses every
+    update that could make a weight non-finite, and some that would not.
+
+    Raises TrainingDivergedError when X, G or the staged biases hold a
+    non-finite value, or the bound trips.
     """
     lr = float(lr)
-    for name in ("weights", "biases"):
-        g = grads[name]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(g, -lr, out=g)
-            np.add(g, getattr(layer, name), out=g)
-        if not np.isfinite(g).all():
-            raise TrainingDivergedError(f"update made the {name} non-finite")
+    x, g = grads["weights"]
+    x_max, g_max = _abs_max(x), _abs_max(g)
+    if not (math.isfinite(x_max) and math.isfinite(g_max)):
+        raise TrainingDivergedError("the weight gradient is non-finite")
+    w = layer.weights
+    limit = 0.5 * float(np.finfo(w.dtype).max)
+    product = x.shape[0] * x_max * g_max  # bounds every |(XᵀG)_ij|
+    step = abs(lr) * product
+    bound_of, w_max = getattr(layer, "_weight_bound", (None, math.inf))
+    if bound_of is not w or not w_max + step < limit:
+        w_max = _abs_max(w)
+    if not (product < limit and w_max + step < limit):
+        raise TrainingDivergedError(
+            f"update could take the weights past half the {w.dtype.name} range")
+    grads["weight_bound"] = w_max + step
+    b = grads["biases"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(b, -lr, out=b)
+        np.add(b, layer.biases, out=b)
+    if not np.isfinite(b).all():
+        raise TrainingDivergedError("update made the biases non-finite")
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """max|a| as a Python float, without a temporary; nan for a NaN."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
+def _commit(layer, grads: dict, lr: float) -> None:
+    """Write W - lr * XᵀG into the layer's weights in place and bind its
+    staged biases, after `_gradient_step` has passed them.
+
+    One BLAS call on the weights' dtype: `ger` when X has one row, `gemm`
+    with beta = 1 otherwise.  The operands are passed as F-contiguous
+    views (Wᵀ, Gᵀ, Xᵀ), so BLAS copies none of them.  scipy's BLAS is
+    imported here, not at module top, so extraction never loads it.
+    """
+    from scipy.linalg.blas import get_blas_funcs
+
+    x, g = grads["weights"]
+    w = np.require(layer.weights, requirements="CW")  # the same array if so
+    w_t = w.reshape(x.shape[1], g.shape[1]).T
+    alpha = -float(lr)
+    if x.shape[0] == 1:
+        (ger,) = get_blas_funcs(("ger",), (w_t,))
+        ger(alpha, g[0], x[0], a=w_t, overwrite_a=1)
+    else:
+        (gemm,) = get_blas_funcs(("gemm",), (w_t,))
+        gemm(alpha, g.T, x.T, beta=1.0, c=w_t, trans_b=1, overwrite_c=1)
+    layer.weights, layer.biases = w, grads["biases"]
+    layer._weight_bound = (w, grads["weight_bound"])
 
 
 class ReLU:
@@ -217,7 +278,7 @@ class Dense:
         return x @ self.weights + self.biases, x
 
     def backward(self, grad, cache, grads_out):
-        grads_out["weights"] = cache.T @ grad
+        grads_out["weights"] = (cache, grad)
         grads_out["biases"] = grad.sum(axis=0)
         return grad @ self.weights.T
 
@@ -438,10 +499,12 @@ def train_step(model: Model, inputs: np.ndarray, targets,
     """One forward/backward/update pass; returns the pre-update mean loss.
 
     Raises TrainingDivergedError, naming the layer, when the loss is not
-    finite or when the update would make any parameter non-finite (a
-    non-finite gradient, or a value past the float32 range).  Every layer
-    stages its update before any is bound, so the model is then left
-    exactly as it was before the step.
+    finite or when the update could make a parameter non-finite (a
+    non-finite gradient, or a weight bound past half the dtype's range,
+    see `_gradient_step`).  Every layer checks and stages its update
+    before any is written; only then are the weights written in place, as
+    one BLAS call per layer, and the new biases bound.  A step that raises
+    leaves the model exactly as it was before the step.
     """
     inputs = _in_compute_dtype(model, inputs)
     if inputs.ndim != 3 or inputs.shape[0] == 0:
@@ -457,7 +520,7 @@ def train_step(model: Model, inputs: np.ndarray, targets,
             raise TrainingDivergedError(
                 f"layer {i} ({layer.kind}): {exc} (loss={loss})") from None
     for _, layer, grads in updates:  # the one commit point
-        layer.weights, layer.biases = grads["weights"], grads["biases"]
+        _commit(layer, grads, learning_rate)
     return loss
 
 
@@ -478,10 +541,16 @@ class TrainConfig:
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate",
                                default_learning_rate(self.optimizer))
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.early_stop_patience < 0:
+            raise ValueError(f"early_stop_patience must be >= 0, "
+                             f"got {self.early_stop_patience}")
 
 
 def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
@@ -553,8 +622,11 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
     y = np.asarray(targets)
 
     _, updates = _loss_and_grads(work, x, y, np.random.default_rng(0))
-    analytic = [(layer, name, g) for _, layer, grads in updates
-                for name, g in grads.items()]
+    analytic = []
+    for _, layer, grads in updates:
+        xf, gf = grads["weights"]
+        analytic += [(layer.weights, xf.T @ gf),
+                     (layer.biases, grads["biases"])]
 
     def loss_at() -> float:
         z = forward_batch(work, x, train=True, rng=np.random.default_rng(0),
@@ -562,8 +634,7 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
         return cross_entropy(z, y)[0]
 
     worst = 0.0
-    for layer, name, g_analytic in analytic:
-        params = getattr(layer, name)
+    for params, g_analytic in analytic:
         flat = params.reshape(-1)
         g_flat = g_analytic.reshape(-1)
         for i in range(flat.size):

@@ -1,5 +1,9 @@
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,14 @@ def forward_extents(model):
 def trainable_arrays(model):
     """Each trainable layer's (weights, biases) array objects."""
     return [(l.weights, l.biases) for l in model.trainable()]
+
+
+def materialised(gradient):
+    """A parameter gradient as one array: XᵀG for the weights' factors."""
+    if isinstance(gradient, tuple):
+        x, g = gradient
+        return x.T @ g
+    return gradient
 
 
 def same_bits(a, b):
@@ -336,17 +348,19 @@ class TestTraining:
             assert np.array_equal(w0, w1)
             assert np.array_equal(b0, b1)
 
-    def test_step_binds_new_arrays_and_writes_no_old_one(self):
+    def test_step_writes_weights_in_place_and_binds_new_biases(self):
         model = tiny_model()
+        for layer in model.layers:  # so every layer has a non-zero gradient
+            if isinstance(layer, cnn.Dropout):
+                layer.rate = 0.0
         old = trainable_arrays(model)
         copies = [(w.copy(), b.copy()) for w, b in old]
         x = np.random.default_rng(1).standard_normal((4, 8, 2))
         cnn.train_step(model, x, np.array([0, 1, 0, 1]), 0.1,
                        np.random.default_rng(3))
         for (w, b), (w0, b0), (w1, b1) in zip(old, copies, trainable_arrays(model)):
-            assert same_bits(w, w0) and same_bits(b, b0)
-            assert w1 is not w and b1 is not b
-        assert not same_bits(model.layers[-1].weights, copies[-1][0])
+            assert w1 is w and not same_bits(w, w0)
+            assert b1 is not b and same_bits(b, b0)
 
     def test_failed_middle_update_binds_nothing(self):
         # the layers before it have staged their updates, the ones after not
@@ -379,6 +393,18 @@ class TestTraining:
         with pytest.raises(ValueError):
             cnn.TrainConfig(optimizer="adam")
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("learning_rate", np.nan, "learning_rate must be finite"),
+        ("learning_rate", np.inf, "learning_rate must be finite"),
+        ("learning_rate", -0.01, "learning_rate must be finite and > 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("batch_size", -3, "batch_size must be >= 1"),
+        ("early_stop_patience", -1, "early_stop_patience must be >= 0"),
+    ])
+    def test_config_rejects_settings_that_fail_late(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            cnn.TrainConfig(**{field: value})
+
     def test_early_stop_on_plateau(self):
         model = cnn.build("CA02", 40, 3, seed=6)
         rng = np.random.default_rng(2)
@@ -390,6 +416,143 @@ class TestTraining:
                             learning_rate=1e-9, seed=1, early_stop_patience=3),
             val_inputs=xs, val_targets=ys)
         assert len(history["train_loss"]) < 50
+
+
+def _layer_with_gradient(kind, batch, dtype, rows=7, cols=5, seed=0):
+    """A Conv1D or Dense with random parameters in `dtype`, and the gradients
+    its backward stores for a random input of `batch` samples."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        layer, x_shape = cnn.Dense(rows, cols), (batch, rows)
+    else:
+        layer, x_shape = cnn.Conv1D(3, rows, cols), (batch, 6, rows)
+    layer.weights = rng.standard_normal(layer.weights.shape).astype(dtype)
+    layer.biases = rng.standard_normal(layer.biases.shape).astype(dtype)
+    out, cache = layer.forward(rng.standard_normal(x_shape).astype(dtype))
+    grads: dict = {}
+    layer.backward(rng.standard_normal(out.shape).astype(dtype), cache, grads)
+    return layer, grads
+
+
+def _assert_commit_matches_reference(layer, grads, lr):
+    """Check, stage and commit one update; the weights must be written in
+    place and equal w - lr * XᵀG, taken in float64, to within the rounding
+    of their dtype."""
+    x, g = (a.astype(np.float64) for a in grads["weights"])
+    w = layer.weights
+    w64 = w.astype(np.float64).reshape(x.shape[1], g.shape[1])
+    reference = w64 - lr * (x.T @ g)
+    scale = np.abs(w64) + abs(lr) * (np.abs(x).T @ np.abs(g))
+    layer.apply_update(grads, lr)
+    cnn._commit(layer, grads, lr)
+    assert layer.weights is w
+    got = w.reshape(reference.shape).astype(np.float64)
+    eps = np.finfo(w.dtype).eps
+    assert (np.abs(got - reference) <= (x.shape[0] + 2) * eps * scale).all()
+    # the running bound the next step starts from covers the new weights
+    bound_of, bound = layer._weight_bound
+    assert bound_of is w and np.abs(got).max() <= bound * (1 + 4 * eps)
+
+
+class TestCommit:
+    """A step writes W - lr * XᵀG into the weights in place, after every
+    layer has passed the finite and bound checks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, batch", [
+        ("dense", 1),  # one row: ger
+        ("dense", 3),
+        ("conv", 1),  # one row per output frame
+        ("conv", 3),
+    ])
+    def test_writes_weights_in_place(self, kind, batch, dtype):
+        layer, grads = _layer_with_gradient(kind, batch, dtype)
+        old = layer.weights
+        _assert_commit_matches_reference(layer, grads, 0.05)
+        assert np.shares_memory(layer.weights, old)
+        assert layer.weights.dtype == dtype
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["dense", "conv"]), batch=st.integers(1, 4),
+           rows=st.integers(1, 6), cols=st.integers(1, 5),
+           lr=st.floats(0.0, 2.0), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_commit_is_the_reference_update(self, kind, batch, rows, cols, lr,
+                                            dtype, seed):
+        layer, grads = _layer_with_gradient(kind, batch, dtype, rows, cols, seed)
+        _assert_commit_matches_reference(layer, grads, lr)
+
+    @staticmethod
+    def _model_with_huge_weight(model):
+        """Put 0.9 x float32 max on conv0's weight for input channel 1, and
+        return an input whose channel 1 is zero, so the forward stays finite."""
+        huge = np.float32(0.9) * np.finfo(np.float32).max
+        for layer in model.layers:
+            if isinstance(layer, cnn.Dropout):
+                layer.rate = 0.0
+        weights = model.layers[0].weights.copy()
+        weights[0, 1, 0] = huge
+        model.layers[0].weights = weights
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        x[:, :, 1] = 0.0
+        return x
+
+    def test_bound_trip_raises_and_writes_nothing(self):
+        model = tiny_model()
+        x = self._model_with_huge_weight(model)
+        old = trainable_arrays(model)
+        copies = [(w.copy(), b.copy()) for w, b in old]
+        with pytest.raises(cnn.TrainingDivergedError,
+                           match="layer 0 \\(conv\\).*half the float32 range"):
+            cnn.train_step(model, x, np.array([0, 1, 0, 1]), 1e-3,
+                           np.random.default_rng(3))
+        for (w, b), (w0, b0), (w1, b1) in zip(old, copies, trainable_arrays(model)):
+            assert w1 is w and b1 is b
+            assert same_bits(w, w0) and same_bits(b, b0)
+
+    def test_bound_of_a_replaced_array_hides_no_trip(self):
+        model = tiny_model()
+        for layer in model.layers:
+            if isinstance(layer, cnn.Dropout):
+                layer.rate = 0.0
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        y = np.array([0, 1, 0, 1])
+        cnn.train_step(model, x, y, 1e-3, np.random.default_rng(3))  # bounds cached
+        x = self._model_with_huge_weight(model)  # conv0.weights rebound
+        replaced = model.layers[0].weights
+        with pytest.raises(cnn.TrainingDivergedError, match="layer 0 \\(conv\\)"):
+            cnn.train_step(model, x, y, 1e-3, np.random.default_rng(3))
+        assert model.layers[0].weights is replaced
+        assert np.isfinite(replaced).all()
+
+    def test_unscaled_product_past_range_raises(self):
+        # lr * XᵀG is about 1e28, but gemm forms XᵀG (about 1e40) before it
+        # scales by lr, which overflows float32
+        layer, grads = _layer_with_gradient("dense", 3, np.float32)
+        x, g = grads["weights"]
+        grads["weights"] = (x * np.float32(1e20), g * np.float32(1e20))
+        with pytest.raises(cnn.TrainingDivergedError, match="half the float32"):
+            layer.apply_update(grads, 1e-12)
+
+    def test_non_finite_factor_raises(self):
+        layer, grads = _layer_with_gradient("dense", 2, np.float32)
+        grads["weights"][1][1, 0] = np.nan
+        with pytest.raises(cnn.TrainingDivergedError, match="non-finite"):
+            layer.apply_update(grads, 0.01)
+
+
+def test_importing_the_program_loads_no_scipy_linalg():
+    # the commit imports scipy's BLAS, a second OpenBLAS of about 6 MB, only
+    # when a model trains
+    code = ("import sys\n"
+            "import lctid.cli, lctid.features, lctid.experiments, lctid.cnn\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _float_arrays(value):
@@ -468,8 +631,9 @@ class TestComputeDtype:
         assert [i for i, _, _ in grads32] == [i for i, _, _ in grads64]
         for (i, _, g32), (_, _, g64) in zip(grads32, grads64):
             for name in ("weights", "biases"):
-                assert g32[name].dtype == np.float32
-                err = np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+                a32, a64 = materialised(g32[name]), materialised(g64[name])
+                assert a32.dtype == np.float32
+                err = np.linalg.norm(a32 - a64) / np.linalg.norm(a64)
                 assert err < 1e-3, (i, name, err)
 
 
