@@ -73,6 +73,10 @@ class TrainingDivergedError(RuntimeError):
 # for trainable layers, parameter gradients stored into the given dict: the
 # biases' as an array, the weights' as the factors (X, G), whose product
 # XᵀG is the gradient of the weights reshaped to (rows, out channels).
+# X of a Conv1D is its im2col matrix, which holds each input value up to
+# kernel_len times; it also stores as "x_values" the windows that start at
+# every kernel_len-th step and the last window, which hold each input
+# value at least once and about 1/kernel_len of X.
 
 class Conv1D:
     kind = "conv"
@@ -108,6 +112,7 @@ class Conv1D:
                                      self.out_channels)
         grads_out["weights"] = (cols.reshape(-1, w_mat.shape[0]),
                                 grad.reshape(-1, self.out_channels))
+        grads_out["x_values"] = (cols[:, ::self.kernel_len], cols[:, -1])
         grads_out["biases"] = grad.sum(axis=(0, 1))
         dcols = (grad @ w_mat.T).reshape(b, -1, self.kernel_len, c)
         dx = np.zeros((b, t, c), dtype=grad.dtype)
@@ -129,20 +134,22 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
     dtype (a Python float rate does not promote it).  The weights are
     written later, in place, from the factors (X, G); here they must pass
     a bound instead: every |(XᵀG)_ij| is at most rows * max|X| * max|G|,
-    and both that and max|W| + lr * that must stay below half the dtype's
-    maximum (the half leaves room for BLAS rounding).  max|W| is a running
-    upper bound kept with the array it was taken on, which only a step
-    writes in place; when there is none for the current array, or it
-    trips, the exact max|W| is taken and checked again.  The bound is
-    stricter than a finite check of the written weights: it refuses every
-    update that could make a weight non-finite, and some that would not.
+    with max|X| taken over grads["x_values"] when the layer stored it (the
+    same values, each about once), and both that and max|W| + lr * that
+    must stay below half the dtype's maximum (the half leaves room for
+    BLAS rounding).  max|W| is a running upper bound kept with the array
+    it was taken on, which only a step writes in place; when there is
+    none for the current array, or it trips, the exact max|W| is taken and
+    checked again.  The bound is stricter than a finite check of the
+    written weights: it refuses every update that could make a weight
+    non-finite, and some that would not.
 
     Raises TrainingDivergedError when X, G or the staged biases hold a
     non-finite value, or the bound trips.
     """
     lr = float(lr)
     x, g = grads["weights"]
-    x_max, g_max = _abs_max(x), _abs_max(g)
+    x_max, g_max = _abs_max(*grads.get("x_values", (x,))), _abs_max(g)
     if not (math.isfinite(x_max) and math.isfinite(g_max)):
         raise TrainingDivergedError("the weight gradient is non-finite")
     w = layer.weights
@@ -164,9 +171,13 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
         raise TrainingDivergedError("update made the biases non-finite")
 
 
-def _abs_max(a: np.ndarray) -> float:
-    """max|a| as a Python float, without a temporary; nan for a NaN."""
-    return float(np.maximum(a.max(), -a.min()))
+def _abs_max(a: np.ndarray, *more: np.ndarray) -> float:
+    """max|a| over all the arrays given as a Python float, without a
+    temporary; nan for a NaN."""
+    top = np.maximum(a.max(), -a.min())
+    for b in more:
+        top = np.maximum(top, np.maximum(b.max(), -b.min()))
+    return float(top)
 
 
 def _commit(layer, grads: dict, lr: float) -> None:

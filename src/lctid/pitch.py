@@ -8,7 +8,10 @@ f0 and the voicing probability of every row of a spectrum stack at once:
 f0 is the argmax of the sum, refined by parabolic interpolation, and the
 voicing probability is the peak-to-mean contrast of the flat-response-
 equalised sum at that argmax, so a featureless (noise) spectrum gives
-peak ~= mean and hence probability ~= 0.  The analysis settings are module
+peak ~= mean and hence probability ~= 0.  `track_periods` marks the
+glottal cycles of every voiced frame of a stack at once, stepping all rows
+mark by mark, and returns their periods and cycle amplitudes as padded
+rows with a per-row period count.  The analysis settings are module
 constants.
 """
 
@@ -22,7 +25,6 @@ __all__ = [
     "VOICING_THRESHOLD",
     "PeriodSequence",
     "UnvoicedFrameError",
-    "TooFewPeriodsError",
     "shs_batch",
     "track_periods",
 ]
@@ -39,17 +41,19 @@ SEARCH_FRAC = 0.25          # track_periods' search half-width, in periods
 
 @dataclass(frozen=True)
 class PeriodSequence:
-    """Successive pitch periods and the peak-to-peak amplitude of each cycle."""
+    """Successive pitch periods and the peak-to-peak amplitude of each cycle,
+    one row per frame.
 
-    periods_s: np.ndarray
-    peak_amps: np.ndarray
+    Row i holds `counts[i]` periods (s) and amplitudes; the entries after
+    them are 0.
+    """
+
+    periods_s: np.ndarray  # (n, width)
+    peak_amps: np.ndarray  # (n, width)
+    counts: np.ndarray     # (n,) integers
 
 
 class UnvoicedFrameError(ValueError):
-    pass
-
-
-class TooFewPeriodsError(ValueError):
     pass
 
 
@@ -125,48 +129,69 @@ def shs_batch(magnitudes: np.ndarray, fft_size: int,
     return np.where(live, f0, 0.0), np.clip(1.0 - ratio, 0.0, 1.0)
 
 
-def track_periods(frame: np.ndarray, f0_hz: float,
+def track_periods(frames: np.ndarray, f0s: np.ndarray,
                   sample_rate_hz: int) -> PeriodSequence:
-    """Locate glottal-cycle marks by peak picking around each predicted mark.
+    """Glottal-cycle periods and amplitudes of every row of a frame stack.
 
-    The next mark is searched within +-SEARCH_FRAC of the nominal period
-    around the previous mark plus one period.  Periods are the successive
-    mark differences; each cycle's amplitude is max - min of its samples.
+    Row i is searched at its own f0 = f0s[i].  Its first mark is the
+    argmax of its first 1.25 periods; each next mark is the first argmax
+    within +-SEARCH_FRAC of a period around the last mark plus one period,
+    and the search stops at the first window that would reach past the
+    frame.  All rows step in lockstep, so the loop runs once per mark, not
+    once per frame.  Periods are the successive mark differences after a
+    sub-sample parabolic refinement of each mark (integer marks would put
+    a ~1/period jitter floor on every measurement); a cycle's amplitude is
+    max - min of the samples from its first mark to its last.
 
-    Raises UnvoicedFrameError if f0_hz <= 0 and TooFewPeriodsError when
-    fewer than 3 periods fit in the frame.
+    Row i gets `counts[i]` periods, which may be fewer than the 3 that the
+    jitter and shimmer statistics need.  Raises UnvoicedFrameError if any
+    f0 is not positive.
     """
-    if f0_hz <= 0.0:
+    x = np.asarray(frames, dtype=np.float64)
+    f0 = np.asarray(f0s, dtype=np.float64)
+    if not np.all(f0 > 0.0):
         raise UnvoicedFrameError("unvoiced frame (f0 = 0)")
-    x = np.asarray(frame, dtype=np.float64)
-    period = sample_rate_hz / f0_hz
-    first_end = min(x.size, int(np.ceil(1.25 * period)))
-    if first_end <= 0:
-        raise TooFewPeriodsError("frame shorter than one period")
-    coarse = [int(np.argmax(x[:first_end]))]
+    n, size = x.shape
+    rows = np.arange(n)[:, None]
+    period = sample_rate_hz / f0
+    first_end = np.minimum(size, np.ceil(1.25 * period).astype(np.intp))
+    head = np.where(np.arange(size) < first_end[:, None], x, -np.inf)
+    coarse = [head.argmax(axis=1)]
+    amps = []
+    live = np.ones(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.intp)
     while True:
-        center = coarse[-1] + period
-        lo = max(coarse[-1] + 1, int(np.floor(center - SEARCH_FRAC * period)))
-        hi = int(np.ceil(center + SEARCH_FRAC * period)) + 1
-        if hi > x.size:
+        last = coarse[-1]
+        center = last + period
+        lo = np.maximum(last + 1,
+                        np.floor(center - SEARCH_FRAC * period).astype(np.intp))
+        hi = np.ceil(center + SEARCH_FRAC * period).astype(np.intp) + 1
+        live &= hi <= size
+        if not live.any():
             break
-        coarse.append(lo + int(np.argmax(x[lo:hi])))
-    if len(coarse) < 4:
-        raise TooFewPeriodsError(
-            f"only {max(0, len(coarse) - 1)} periods found; need at least 3")
-    # Sub-sample peak refinement; integer quantization of the marks would
-    # otherwise put a ~1/period jitter floor on every measurement.
-    marks = np.array([m + _parabolic_offset(x, m) for m in coarse])
-    periods_s = np.diff(marks) / sample_rate_hz
-    amps = np.array([float(np.max(x[a:b + 1]) - np.min(x[a:b + 1]))
-                     for a, b in zip(coarse[:-1], coarse[1:])])
-    return PeriodSequence(periods_s=periods_s, peak_amps=amps)
+        # One gather per step from each row's last mark to its window's end
+        # serves both the mark search and the new cycle's amplitude.
+        offs = np.arange(int((hi - last)[live].max()))
+        seg = x[rows, np.minimum(last[:, None] + offs, size - 1)]
+        in_window = (offs >= (lo - last)[:, None]) & (offs < (hi - last)[:, None])
+        step = np.where(in_window, seg, -np.inf).argmax(axis=1)
+        in_cycle = offs <= step[:, None]
+        amps.append(np.where(in_cycle, seg, -np.inf).max(axis=1)
+                    - np.where(in_cycle, seg, np.inf).min(axis=1))
+        coarse.append(np.where(live, last + step, last))
+        counts += live
+    coarse = np.stack(coarse, axis=1)
 
-
-def _parabolic_offset(x: np.ndarray, m: int) -> float:
-    if not 0 < m < x.size - 1:
-        return 0.0
-    denom = x[m - 1] - 2.0 * x[m] + x[m + 1]
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (x[m - 1] - x[m + 1]) / denom, -0.5, 0.5))
+    left = x[rows, np.maximum(coarse - 1, 0)]
+    mid = x[rows, coarse]
+    right = x[rows, np.minimum(coarse + 1, size - 1)]
+    denom = left - 2.0 * mid + right
+    bend = (coarse > 0) & (coarse < size - 1) & (denom != 0.0)
+    offset = np.divide(0.5 * (left - right), denom,
+                       out=np.zeros(coarse.shape), where=bend)
+    marks = coarse + np.clip(offset, -0.5, 0.5)
+    valid = np.arange(coarse.shape[1] - 1) < counts[:, None]
+    periods_s = np.where(valid, np.diff(marks, axis=1) / sample_rate_hz, 0.0)
+    peak_amps = np.where(valid, np.reshape(amps, (len(amps), n)).T, 0.0)
+    return PeriodSequence(periods_s=periods_s, peak_amps=peak_amps,
+                          counts=counts)

@@ -541,6 +541,27 @@ class TestCommit:
             layer.apply_update(grads, 0.01)
 
 
+@pytest.mark.parametrize("kernel_len,frames", [(1, 4), (3, 8), (3, 9), (5, 11)])
+def test_conv_bound_sees_every_input_value(kernel_len, frames):
+    # the bound reads max|x| from a fraction of the im2col windows: it must
+    # equal max|x| over the whole input, and a NaN anywhere must raise
+    rng = np.random.default_rng(kernel_len)
+    layer = cnn.Conv1D(kernel_len, 2, 3)
+    x = rng.standard_normal((2, frames, 2))
+    out, cache = layer.forward(x)
+    grads: dict = {}
+    layer.backward(np.ones_like(out), cache, grads)
+    assert cnn._abs_max(*grads["x_values"]) == np.abs(x).max()
+    for t in range(frames):
+        bad = x.copy()
+        bad[1, t, 1] = np.nan
+        out, cache = layer.forward(bad)
+        grads = {}
+        layer.backward(np.ones_like(out), cache, grads)
+        with pytest.raises(cnn.TrainingDivergedError, match="non-finite"):
+            layer.apply_update(grads, 0.01)
+
+
 def test_importing_the_program_loads_no_scipy_linalg():
     # the commit imports scipy's BLAS, a second OpenBLAS of about 6 MB, only
     # when a model trains

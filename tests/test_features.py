@@ -14,10 +14,17 @@ from conftest import SR, harmonic_tone
 
 
 def periods(values_s, amps=None):
+    """One row of periods and cycle amplitudes, as `track_periods` returns
+    it for a frame."""
     vals = np.asarray(values_s, dtype=np.float64)
     if amps is None:
         amps = np.ones_like(vals)
-    return PeriodSequence(periods_s=vals, peak_amps=np.asarray(amps, float))
+    return PeriodSequence(periods_s=vals[None], peak_amps=np.asarray(amps, float)[None],
+                          counts=np.array([vals.size]))
+
+
+def one_row_hnr(x, f0):
+    return hnr(np.asarray(x)[None], np.array([f0]), SR)[0]
 
 
 def random_spectra(rng, n, fft_size=512):
@@ -88,57 +95,64 @@ class TestZcr:
 
 class TestJitterFamily:
     def test_jitter_constant(self):
-        assert jitter(periods([0.01, 0.01, 0.01, 0.01])) == 0.0
+        assert jitter(periods([0.01, 0.01, 0.01, 0.01]))[0] == 0.0
 
     def test_jitter_hand_value(self):
         p = [0.010, 0.010, 0.012, 0.012]
         diffs = [abs(p[i + 1] - p[i]) for i in range(3)]
         expected = (sum(diffs) / 3) / (sum(p) / 4)
-        assert jitter(periods(p)) == expected
-        assert jitter(periods(p)) == pytest.approx(0.060606060, rel=1e-6)
+        assert jitter(periods(p))[0] == expected
+        assert jitter(periods(p))[0] == pytest.approx(0.060606060, rel=1e-6)
 
     def test_jitter_scale_invariant(self):
         p = [0.010, 0.011, 0.0105, 0.012]
-        assert jitter(periods([2 * v for v in p])) == jitter(periods(p))
+        assert jitter(periods([2 * v for v in p]))[0] == jitter(periods(p))[0]
 
     def test_jitter_too_few(self):
-        with pytest.raises(pitch.TooFewPeriodsError):
-            jitter(periods([0.01, 0.01]))
+        # 2 periods fall back to 0, also where they differ
+        for p in ([0.01, 0.01], [0.01, 0.012]):
+            seq = periods(p, [1.0, 0.5])
+            assert seq.counts[0] == 2
+            assert jitter(seq)[0] == 0.0
+            assert shimmer(seq)[0] == 0.0
 
     def test_derivative_hand_value(self):
         p = [0.010, 0.010, 0.012, 0.012]
         first = [abs(p[i + 1] - p[i]) for i in range(3)]
         second = [abs(first[i + 1] - first[i]) for i in range(2)]
         expected = (sum(second) / 2) / (sum(p) / 4)
-        assert jitter_derivative(periods(p)) == expected
-        assert jitter_derivative(periods(p)) == pytest.approx(0.1818181818, rel=1e-6)
+        assert jitter_derivative(periods(p))[0] == expected
+        assert jitter_derivative(periods(p))[0] == pytest.approx(0.1818181818, rel=1e-6)
 
     def test_derivative_linear_drift_zero(self):
-        assert jitter_derivative(periods([0.010, 0.011, 0.012, 0.013])) == \
+        assert jitter_derivative(periods([0.010, 0.011, 0.012, 0.013]))[0] == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_derivative_constant_zero(self):
-        assert jitter_derivative(periods([0.01] * 5)) == 0.0
+        assert jitter_derivative(periods([0.01] * 5))[0] == 0.0
 
     def test_derivative_too_few(self):
-        with pytest.raises(pitch.TooFewPeriodsError):
-            jitter_derivative(periods([0.01, 0.01, 0.012]))
+        # 3 periods: JITTER is taken, DJITTER falls back to 0
+        seq = periods([0.01, 0.01, 0.012])
+        assert seq.counts[0] == 3
+        assert jitter_derivative(seq)[0] == 0.0
+        assert jitter(seq)[0] > 0.0
 
     def test_shimmer_constant(self):
-        assert shimmer(periods([0.01] * 4, [1.0] * 4)) == 0.0
+        assert shimmer(periods([0.01] * 4, [1.0] * 4))[0] == 0.0
 
     def test_shimmer_hand_value(self):
         amps = [1.0, 1.0, 0.8, 0.8]
         diffs = [abs(amps[i + 1] - amps[i]) for i in range(3)]
         expected = (sum(diffs) / 3) / (sum(amps) / 4)
-        got = shimmer(periods([0.01] * 4, amps))
+        got = shimmer(periods([0.01] * 4, amps))[0]
         assert got == expected
         assert got == pytest.approx(0.0740740740, rel=1e-6)
 
     def test_shimmer_scale_invariant(self):
         amps = [1.0, 0.9, 1.1, 0.8]
-        a = shimmer(periods([0.01] * 4, amps))
-        b = shimmer(periods([0.01] * 4, [2 * v for v in amps]))
+        a = shimmer(periods([0.01] * 4, amps))[0]
+        b = shimmer(periods([0.01] * 4, [2 * v for v in amps]))[0]
         assert a == b
 
 
@@ -146,7 +160,7 @@ class TestHnr:
     def test_pure_tone_clamps_high(self):
         t = np.arange(960) / SR
         x = np.sin(2 * np.pi * 200.0 * t)
-        assert hnr(x, 200.0, SR) >= 3.0
+        assert one_row_hnr(x, 200.0) >= 3.0
 
     def test_equal_energy_mix_near_zero(self):
         vals = []
@@ -156,16 +170,16 @@ class TestHnr:
             tone = np.sin(2 * np.pi * 200.0 * t + rng.uniform(0, 2 * np.pi))
             noise = rng.standard_normal(960)
             noise *= np.sqrt(np.dot(tone, tone) / np.dot(noise, noise))
-            vals.append(hnr(tone + noise, 200.0, SR))
+            vals.append(one_row_hnr(tone + noise, 200.0))
         assert abs(np.mean(vals)) <= 0.15
 
     def test_unvoiced_errors(self):
         with pytest.raises(pitch.UnvoicedFrameError):
-            hnr(np.ones(320), 0.0, SR)
+            hnr(np.ones((1, 320)), np.array([0.0]), SR)
 
     def test_noise_clamps_low(self):
         rng = np.random.default_rng(7)
-        assert hnr(rng.standard_normal(960), 200.0, SR) <= 1.0
+        assert one_row_hnr(rng.standard_normal(960), 200.0) <= 1.0
 
 
 class TestSpectralFeatures:
@@ -310,6 +324,24 @@ class TestExtractMatrix:
         w = Waveform(0.1 * rng.standard_normal(SR // 4), SR)
         m = extract_matrix(w, "mfcc")
         assert m.values.shape == (13, 20)  # floor((4000-960)/160)+1: the 60 ms grid
+
+    def test_voice_quality_kernels_run_once_per_utterance(self, monkeypatch):
+        calls = {"track_periods": 0, "hnr": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pitch, "track_periods")
+        counted(features, "hnr")
+        x = np.tile(harmonic_tone(250.0, 5, n=960, seed=3), 2 * SR // 960 + 1)[:2 * SR]
+        m = extract_matrix(Waveform(0.2 * x / np.abs(x).max(), SR), "all")
+        assert (m.channels(["F0"]).values > 0).sum() > 100
+        assert calls == {"track_periods": 1, "hnr": 1}
 
     def test_subset_channels(self):
         rng = np.random.default_rng(3)

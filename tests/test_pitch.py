@@ -114,13 +114,17 @@ class TestShsEstimate:
         assert np.median(np.abs(f0s - sweep)) <= 2.0
 
 
+def one_row_periods(x, f0):
+    return pitch.track_periods(np.asarray(x)[None], np.array([f0]), SR)
+
+
 class TestTrackPeriods:
     def test_impulse_train_5ms(self):
         x = np.zeros(960)
         x[::80] = 1.0
-        seq = pitch.track_periods(x, 200.0, SR)
-        assert len(seq.periods_s) == 11
-        assert np.abs(seq.periods_s - 0.005).max() <= 1.0 / SR
+        seq = one_row_periods(x, 200.0)
+        assert seq.counts[0] == 11
+        assert np.abs(seq.periods_s[0, :11] - 0.005).max() <= 1.0 / SR
 
     def test_alternating_periods(self):
         marks = [0]
@@ -129,28 +133,34 @@ class TestTrackPeriods:
             marks.append(marks[-1] + step[(len(marks) - 1) % 2])
         x = np.zeros(960)
         x[marks] = 1.0
-        seq = pitch.track_periods(x, 1.0 / 0.00525, SR)
-        truth = np.array([step[i % 2] for i in range(len(seq.periods_s))]) / SR
-        assert np.abs(seq.periods_s - truth).max() <= 1.0 / SR
+        seq = one_row_periods(x, 1.0 / 0.00525)
+        found = seq.periods_s[0, :seq.counts[0]]
+        truth = np.array([step[i % 2] for i in range(len(found))]) / SR
+        assert np.abs(found - truth).max() <= 1.0 / SR
 
     def test_unvoiced_errors(self):
         with pytest.raises(pitch.UnvoicedFrameError, match="unvoiced"):
-            pitch.track_periods(np.ones(960), 0.0, SR)
+            pitch.track_periods(np.ones((1, 960)), np.array([0.0]), SR)
 
     def test_too_few_periods(self):
         x = np.zeros(400)
         x[::240] = 1.0  # 15 ms period in a 25 ms window
-        with pytest.raises(pitch.TooFewPeriodsError):
-            pitch.track_periods(x, 1000.0 / 15.0, SR)
+        seq = one_row_periods(x, 1000.0 / 15.0)
+        assert seq.counts[0] == 1
+        for stat in (features.jitter, features.jitter_derivative, features.shimmer):
+            assert stat(seq)[0] == 0.0
 
     def test_amp_and_period_lengths_match(self):
         x = harmonic_tone(250.0, 4, seed=11)
-        seq = pitch.track_periods(x, 250.0, SR)
-        assert len(seq.periods_s) == len(seq.peak_amps)
-        assert np.all(seq.peak_amps > 0)
+        seq = one_row_periods(x, 250.0)
+        assert seq.periods_s.shape == seq.peak_amps.shape
+        n = seq.counts[0]
+        assert n >= 3
+        assert np.all(seq.peak_amps[0, :n] > 0)
+        assert not seq.peak_amps[0, n:].any() and not seq.periods_s[0, n:].any()
 
     def test_constant_train_jitter_below_1e3(self):
         x = np.zeros(960)
         x[::64] = 1.0  # 250 Hz
-        seq = pitch.track_periods(x, 250.0, SR)
-        assert features.jitter(seq) < 1e-3
+        seq = one_row_periods(x, 250.0)
+        assert features.jitter(seq)[0] < 1e-3
