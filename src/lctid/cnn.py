@@ -10,8 +10,8 @@ copy runs the same code in float64.  Only the softmax and the loss, on the
 (B, 2) logits, are taken in float64.
 
 Architectures: two pairs of convolutional layers, each pair followed by
-max-pooling and dropout, then one or two ReLU dense layers and a final
-2-way dense classifier.  CA01 uses kernels [10, 10, 5, 5]; CA02/CA03 use
+max-pooling of frame pairs and dropout, then one or two ReLU dense layers
+and a 2-way dense classifier.  CA01 uses kernels [10, 10, 5, 5], CA02/CA03
 [7, 7, 3, 3]; CA03 has dense widths [1024, 512] instead of [1024].
 
 The network ends at its logits; `forward_batch` applies the softmax.
@@ -70,9 +70,10 @@ class TrainingDivergedError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Layers.  forward(x, ...) -> (out, cache); backward(grad, cache) -> dx and,
-# for trainable layers, parameter gradients stored into the given dict: the
-# biases' as an array, the weights' as the factors (X, G), whose product
-# XᵀG is the gradient of the weights reshaped to (rows, out channels).
+# for trainable layers, parameter gradients stored into the given dict (with
+# input_grad=False a Conv1D stores them and returns None): the biases' as an
+# array, the weights' as the factors (X, G), whose product XᵀG is the
+# gradient of the weights reshaped to (rows, out channels).
 # X of a Conv1D is its im2col matrix, which holds each input value up to
 # kernel_len times; it also stores as "x_values" the windows that start at
 # every kernel_len-th step and the last window, which hold each input
@@ -101,24 +102,22 @@ class Conv1D:
         win = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
         cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
             b, t - self.kernel_len + 1, self.kernel_len * c)
-        w_mat = self.weights.reshape(self.kernel_len * self.in_channels,
-                                     self.out_channels)
-        out = cols @ w_mat + self.biases
+        out = cols @ self.weights.reshape(-1, self.out_channels) + self.biases
         return out, (cols, (b, t, c))
 
-    def backward(self, grad, cache, grads_out: dict):
+    def backward(self, grad, cache, grads_out: dict, *, input_grad: bool = True):
         cols, (b, t, c) = cache
-        w_mat = self.weights.reshape(self.kernel_len * self.in_channels,
-                                     self.out_channels)
-        grads_out["weights"] = (cols.reshape(-1, w_mat.shape[0]),
+        grads_out["weights"] = (cols.reshape(-1, cols.shape[-1]),
                                 grad.reshape(-1, self.out_channels))
         grads_out["x_values"] = (cols[:, ::self.kernel_len], cols[:, -1])
         grads_out["biases"] = grad.sum(axis=(0, 1))
+        if not input_grad:
+            return None
+        w_mat = self.weights.reshape(-1, self.out_channels)
         dcols = (grad @ w_mat.T).reshape(b, -1, self.kernel_len, c)
         dx = np.zeros((b, t, c), dtype=grad.dtype)
-        t_out = dcols.shape[1]
         for dt in range(self.kernel_len):
-            dx[:, dt:dt + t_out, :] += dcols[:, :, dt, :]
+            dx[:, dt:dt + grad.shape[1], :] += dcols[:, :, dt, :]
         return dx
 
     def apply_update(self, grads: dict, lr: float):
@@ -216,26 +215,23 @@ class ReLU:
 
 
 class MaxPool:
+    """Max of each frame pair, the first frame on a tie or a NaN in it, moved
+    as bits: np.where is slower, and a product with a mask gives -0.0."""
+
     kind = "maxpool"
 
-    def __init__(self, width: int = 2):
-        self.width = width
-
     def forward(self, x):
-        b, t, c = x.shape
-        t2 = t // self.width
-        xr = x[:, :t2 * self.width].reshape(b, t2, self.width, c)
-        idx = xr.argmax(axis=2)
-        out = np.take_along_axis(xr, idx[:, :, None, :], axis=2)[:, :, 0, :]
-        return out, (idx, (b, t, c))
+        a, b = x[:, :-1:2], x[:, 1::2]
+        keep = -((a >= b) | np.isnan(a)).astype(f"i{x.itemsize}")
+        out = (a.view(keep.dtype) & keep) | (b.view(keep.dtype) & ~keep)
+        return out.view(x.dtype), (keep, x.shape[1])
 
     def backward(self, grad, cache, grads_out):
-        idx, (b, t, c) = cache
-        t2 = idx.shape[1]
-        dxr = np.zeros((b, t2, self.width, c), dtype=grad.dtype)
-        np.put_along_axis(dxr, idx[:, :, None, :], grad[:, :, None, :], axis=2)
-        dx = np.zeros((b, t, c), dtype=grad.dtype)
-        dx[:, :t2 * self.width] = dxr.reshape(b, t2 * self.width, c)
+        keep, t = cache
+        dx = np.zeros((grad.shape[0], t, grad.shape[2]), dtype=grad.dtype)
+        g, d = grad.view(keep.dtype), dx.view(keep.dtype)
+        np.bitwise_and(g, keep, out=d[:, :-1:2])
+        np.bitwise_and(g, ~keep, out=d[:, 1::2])
         return dx
 
 
@@ -365,9 +361,10 @@ def build(arch_id: str, input_frames: int = 187, in_channels: int = 10,
                      conv_dropout, dense_dropout)
     rng = np.random.default_rng(seed)
     for layer in model.trainable()[:-1]:  # the classifier stays zero
-        fan_in = layer.weights[..., 0].size  # kernel_len * in_channels, or in_features
-        limit = np.sqrt(6.0 / fan_in)
-        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+        limit = np.sqrt(6.0 / layer.weights[..., 0].size)  # over the fan-in
+        flat = layer.weights.reshape(-1)  # drawn in parts: no float64 copy of all
+        for part in np.array_split(flat, flat.size // 65536 + 1):
+            part[...] = rng.uniform(-limit, limit, size=part.size)
     return model
 
 
@@ -401,7 +398,7 @@ def _network(arch_id: str, input_frames: int, in_channels: int, seed: int,
             t //= 2
             if t < 1:
                 raise ShapeMismatchError("maxpool output would be empty")
-            layers += [MaxPool(2), Dropout(conv_dropout)]
+            layers += [MaxPool(), Dropout(conv_dropout)]
     layers.append(Flatten())
 
     units = t * CONV_CHANNELS[-1]
@@ -489,17 +486,19 @@ def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:
 def _loss_and_grads(model: Model, inputs: np.ndarray, targets,
                     rng: np.random.Generator) -> tuple[float, list]:
     """Training loss and, in network order, (index, layer, gradients) of
-    every trainable layer."""
+    every trainable layer; the first, a Conv1D, computes no input gradient."""
     logits, caches = forward_batch(model, inputs, train=True, rng=rng,
                                    want_caches=True, logits=True)
     loss, grad = cross_entropy(logits, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"loss diverged (loss={loss})")
     found = []
-    for i in reversed(range(len(caches))):
-        layer = model.layers[i]
+    for i, layer in reversed(list(enumerate(model.layers))):
         grads: dict = {}
-        grad = layer.backward(grad, caches[i], grads)
+        if i:
+            grad = layer.backward(grad, caches[i], grads)
+        else:
+            layer.backward(grad, caches[i], grads, input_grad=False)
         if grads:
             found.append((i, layer, grads))
     return loss, found[::-1]

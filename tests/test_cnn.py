@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import maxpool_oracle as pool_oracle
 from lctid import cnn
 from lctid.features import ALL_IDS, NormStats
 
@@ -18,7 +20,7 @@ def tiny_model(seed=5):
     but disabled inside grad_check)."""
     rng = np.random.default_rng(seed)
     m = cnn.Model(layers=[
-        cnn.Conv1D(3, 2, 4), cnn.ReLU(), cnn.MaxPool(2), cnn.Dropout(0.25),
+        cnn.Conv1D(3, 2, 4), cnn.ReLU(), cnn.MaxPool(), cnn.Dropout(0.25),
         cnn.Conv1D(2, 4, 4), cnn.ReLU(), cnn.Flatten(),
         cnn.Dense(8, 6), cnn.ReLU(), cnn.Dropout(0.5),
         cnn.Dense(6, 2),
@@ -102,6 +104,70 @@ class TestConv1D:
             conv.forward(np.zeros((1, 12, 5)))
 
 
+POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(-4.0, 4.0, width=32))
+
+
+@st.composite
+def pool_cases(draw):
+    """An input of 1-4 samples, 1-9 frames and 1-3 channels and a gradient
+    of the pool's output, in one float dtype; the values repeat (ties) and
+    include +-0.0, +-inf and NaN."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    b, t, c = (draw(st.integers(1, n)) for n in (4, 9, 3))
+    x = draw(hnp.arrays(dtype, (b, t, c), elements=POOL_VALUES))
+    grad = draw(hnp.arrays(dtype, (b, t // 2, c), elements=POOL_VALUES))
+    return x, grad
+
+
+# every kind of pair once, then a trailing odd frame; negative gradients,
+# so a frame not kept must get +0.0, not -0.0
+PAIRS_CASE = (
+    np.array([np.nan, 1.0, 1.0, np.nan, np.nan, np.nan, 2.0, 2.0, -0.0, 0.0,
+              0.0, -0.0, np.inf, np.inf, -np.inf, -np.inf, -np.inf, 5.0, 7.0],
+             dtype=np.float32).reshape(1, 19, 1),
+    -np.arange(1.0, 10.0, dtype=np.float32).reshape(1, 9, 1))
+
+
+class TestMaxPool:
+    @settings(max_examples=300, deadline=None)
+    @given(pool_cases())
+    @example(PAIRS_CASE)
+    def test_matches_the_argmax_oracle(self, case):
+        # bit for bit, so NaN, +-inf, ties and the sign of a zero all count
+        x, grad = case
+        out, cache = cnn.MaxPool().forward(x)
+        want, want_cache = pool_oracle.forward(x)
+        assert same_bits(out, want)
+        dx = cnn.MaxPool().backward(grad, cache, {})
+        assert same_bits(dx, pool_oracle.backward(grad, want_cache))
+
+    def test_overflow_nan_reaches_the_output(self):
+        # input frame 0 makes conv0's first output frame +inf, so conv1's
+        # first output frame sums +inf and -inf products into NaN, while its
+        # second frame stays finite.  The pool after conv1 must pass that
+        # NaN on, as argmax did: the row is not finite and training stops.
+        # (A NaN cannot come out of conv0 itself: with a fused multiply-add
+        # the sum only reaches +-inf from finite values.)
+        model = cnn.build("CA02", 40, 3, seed=0)
+        conv0, conv1 = model.layers[0], model.layers[2]
+        conv0.weights[0] = 2.0
+        x = np.random.default_rng(0).standard_normal((1, 40, 3)).astype(np.float32)
+        x[0, 0] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.maximum(conv0.forward(x)[0], 0.0)
+            pair = conv1.forward(h)[0][0, :2]
+            out = cnn.forward_batch(model, x)
+        assert np.isnan(pair[0]).all() and np.isfinite(pair[1]).all()
+        assert not np.isfinite(out[0]).any()
+        before = [(w.copy(), b.copy()) for w, b in trainable_arrays(model)]
+        with pytest.raises(cnn.TrainingDivergedError):
+            cnn.train_step(model, x, np.array([0]), 0.01, np.random.default_rng(0))
+        for (w, b), (w0, b0) in zip(trainable_arrays(model), before):
+            assert same_bits(w, w0) and same_bits(b, b0)
+
+
 class TestBuild:
     def test_ca02_parameter_counts(self):
         model = cnn.build("CA02", 187, 10, seed=0)
@@ -124,6 +190,19 @@ class TestBuild:
         model = cnn.build("CA03", 187, 10, seed=0)
         widths = [l.out_features for l in model.layers if isinstance(l, cnn.Dense)]
         assert widths == [1024, 512, 2]
+
+    def test_he_uniform_is_one_draw_per_layer(self):
+        # build draws a large layer in parts; the weights must be those of
+        # one float64 draw per layer, in network order, cast to float32
+        model = cnn.build("CA02", 40, 3, seed=4)
+        rng = np.random.default_rng(4)
+        *drawn, classifier = model.trainable()
+        assert max(l.weights.size for l in drawn) > 65536  # dense0: 320 x 1024
+        for layer in drawn:
+            limit = np.sqrt(6.0 / layer.weights[..., 0].size)
+            want = rng.uniform(-limit, limit, size=layer.weights.shape)
+            assert same_bits(layer.weights, want.astype(np.float32))
+        assert not classifier.weights.any()
 
     @pytest.mark.parametrize("frames, match", [
         (5, "conv kernel 7 longer than input length 5"),
@@ -200,7 +279,7 @@ class TestForward:
             elif isinstance(layer, cnn.ReLU):
                 const = np.maximum(const, 0.0)
             elif isinstance(layer, cnn.MaxPool):
-                t_len //= layer.width
+                t_len //= 2
             elif isinstance(layer, cnn.Flatten):
                 flat = np.tile(const, t_len)
                 const = flat
@@ -593,8 +672,8 @@ def _spy_dtypes(model):
     seen = []
 
     def spy(fn):
-        def wrapped(*args):
-            result = fn(*args)
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
             seen.extend(a.dtype for a in _float_arrays([args, result]))
             return result
         return wrapped
@@ -656,6 +735,65 @@ class TestComputeDtype:
                 assert a32.dtype == np.float32
                 err = np.linalg.norm(a32 - a64) / np.linalg.norm(a64)
                 assert err < 1e-3, (i, name, err)
+
+
+def _spy_backprop(monkeypatch):
+    """Record each Conv1D.backward call as (layer, keywords, result), and
+    each backpropagation pass as (model, its trainable layers' gradients)."""
+    calls, passes = [], []
+    backward, loss_and_grads = cnn.Conv1D.backward, cnn._loss_and_grads
+
+    def spy_backward(layer, *args, **kwargs):
+        result = backward(layer, *args, **kwargs)
+        calls.append((layer, kwargs, result))
+        return result
+
+    def spy_pass(model, *args):
+        loss, found = loss_and_grads(model, *args)
+        passes.append((model, found))
+        return loss, found
+
+    monkeypatch.setattr(cnn.Conv1D, "backward", spy_backward)
+    monkeypatch.setattr(cnn, "_loss_and_grads", spy_pass)
+    return calls, passes
+
+
+class TestInputLayer:
+    """Nothing reads the gradient of the network's input: the first conv is
+    asked for none, and every trainable layer still stores its gradients."""
+
+    @staticmethod
+    def check(calls, passes):
+        [(model, found)] = passes
+        first = model.layers[0]
+        assert [(kw, out) for layer, kw, out in calls if layer is first] == [
+            ({"input_grad": False}, None)]
+        later = [(kw, out) for layer, kw, out in calls if layer is not first]
+        assert later and all(kw == {} and isinstance(out, np.ndarray)
+                             for kw, out in later)
+        assert [layer for _, layer, _ in found] == model.trainable()
+        for _, layer, grads in found:
+            w = layer.weights
+            assert materialised(grads["weights"]).shape == (w.size // w.shape[-1],
+                                                            w.shape[-1])
+            assert grads["biases"].shape == layer.biases.shape
+
+    def test_train_step(self, monkeypatch):
+        model = tiny_model()
+        calls, passes = _spy_backprop(monkeypatch)
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        cnn.train_step(model, x, np.array([0, 1, 0, 1]), 0.1,
+                       np.random.default_rng(3))
+        self.check(calls, passes)
+        assert passes[0][0] is model
+
+    def test_grad_check(self, monkeypatch):
+        calls, passes = _spy_backprop(monkeypatch)
+        err = cnn.grad_check(tiny_model(seed=5),
+                             np.random.default_rng(6).standard_normal((2, 8, 2)),
+                             [1, 0], epsilon=1e-5)
+        self.check(calls, passes)
+        assert err < 1e-4
 
 
 class TestGradCheck:
