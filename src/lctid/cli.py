@@ -8,9 +8,10 @@ error.  Seed resolution: --seed flag, then the LCTID_SEED environment
 variable, then 0.  ``train`` writes ``model.lct``, which is all that
 ``eval`` needs, and ``results.json``.
 
-Every command that extracts features decodes its WAVs at the canonical
-16 kHz and fails on any other rate; there is no resampler.  Extraction
-runs one utterance at a time in the calling thread.
+``synth`` writes 16 kHz PCM16 WAVs.  Every command that extracts features
+decodes its WAVs at the canonical 16 kHz and fails on any other rate;
+there is no resampler.  Extraction runs one utterance at a time in the
+calling thread.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,14 +46,14 @@ _Y_LABELS = {
 # ---------------------------------------------------------------------------
 # Helpers
 
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    tmp.write_bytes(text.encode("utf-8"))
     os.replace(tmp, path)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def _write_json(path: Path, payload: dict) -> None:
+    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def parse_hours(text: str) -> float:
@@ -63,8 +65,9 @@ def parse_hours(text: str) -> float:
         value = float(t)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse hours from {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("hours must be >= 0")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"hours must be finite and >= 0, "
+                                         f"got {text!r}")
     return value
 
 
@@ -111,13 +114,18 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
 
 def _load_balanced(args) -> CorpusManifest:
     manifest = load_manifest(args.manifest)
-    if getattr(args, "balanced", None) is not None:
+    if args.balanced is not None:
         manifest = derive_balanced_subset(manifest, args.balanced,
                                           _resolve_seed(args.seed))
     return manifest
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--balanced", type=parse_hours, default=None,
+                   help="derive a balanced subset first, e.g. 8h")
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--arch", default="CA03", choices=sorted(cnn.ARCHITECTURES))
     p.add_argument("--optimizer", choices=["minibatch_gd", "sgd"],
                    help="default: per-architecture training method")
@@ -181,8 +189,7 @@ def render_contour_svg(panels, ylabel: str, title: str) -> str:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec(num_utterances=args.count, dur_min_s=args.dur_min,
-                     dur_max_s=args.dur_max, sample_rate_hz=args.rate,
-                     out_dir=args.out)
+                     dur_max_s=args.dur_max, out_dir=args.out)
     manifest = synth_corpus(spec, _resolve_seed(args.seed))
     print(f"wrote {len(manifest)} utterances and manifest.tsv under {args.out}")
     return 0
@@ -263,8 +270,7 @@ def cmd_train(args) -> int:
         "num_train_segments": aux["num_train_segments"],
         "history": aux["history"],
     })
-    _atomic_write_text(out / "results.json",
-                       json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "results.json", record)
     print(f"model -> {model_path}")
     _print_report(report)
     return 0
@@ -276,8 +282,7 @@ def cmd_eval(args) -> int:
     report = experiments.evaluate(model, norm, manifest)
     _print_report(report)
     if args.out:
-        _atomic_write_text(Path(args.out),
-                           json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(Path(args.out), report.to_dict())
     return 0
 
 
@@ -300,10 +305,9 @@ def cmd_ablate(args) -> int:
         "ranking": [{"feature": r.feature_id, "accuracy": r.accuracy,
                      "rank": r.rank} for r in table.rows],
         "rank_gap_stats": {"min": gmin, "max": gmax, "mean": gmean},
-        "evaluations": table.evaluations,
+        "evaluations": len(table.rows),
     })
-    _atomic_write_text(out / f"results_{args.method}.json",
-                       json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(out / f"results_{args.method}.json", record)
     for row in sorted(table.rows, key=lambda r: r.rank):
         print(f"rank {row.rank:2d}  acc {row.accuracy:.4f}  {row.feature_id}")
     return 0
@@ -325,8 +329,7 @@ def cmd_combine(args) -> int:
         "base": list(base), "extra": list(extra),
         "segment_duration_s": aux["segment_duration_s"],
     })
-    _atomic_write_text(out / "results_combine.json",
-                       json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "results_combine.json", record)
     _print_report(report)
     return 0
 
@@ -354,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--dur-min", type=float, default=1.0)
     p.add_argument("--dur-max", type=float, default=4.0)
-    p.add_argument("--rate", type=int, default=16000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
@@ -372,12 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("train", help="train a model and score a held-out split")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--features", default="handcrafted")
-    p.add_argument("--balanced", type=parse_hours, default=None,
-                   help="derive a balanced subset first, e.g. 8h")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -389,21 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="feature ablation (RFE or IFE)")
     p.add_argument("--method", required=True, choices=["rfe", "ife"])
-    p.add_argument("--manifest", required=True)
     p.add_argument("--features", default="handcrafted")
-    p.add_argument("--balanced", type=parse_hours, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("combine", help="concatenate two feature sets and evaluate")
     p.add_argument("--base", required=True)
     p.add_argument("--extra", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--balanced", type=parse_hours, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_combine)
 

@@ -75,9 +75,8 @@ class TrainingDivergedError(RuntimeError):
 # array, the weights' as the factors (X, G), whose product XᵀG is the
 # gradient of the weights reshaped to (rows, out channels).
 # X of a Conv1D is its im2col matrix, which holds each input value up to
-# kernel_len times; it also stores as "x_values" the windows that start at
-# every kernel_len-th step and the last window, which hold each input
-# value at least once and about 1/kernel_len of X.
+# kernel_len times; it also stores its input as "input", which holds the
+# same values, each once.
 
 class Conv1D:
     kind = "conv"
@@ -103,19 +102,19 @@ class Conv1D:
         cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
             b, t - self.kernel_len + 1, self.kernel_len * c)
         out = cols @ self.weights.reshape(-1, self.out_channels) + self.biases
-        return out, (cols, (b, t, c))
+        return out, (x, cols)
 
     def backward(self, grad, cache, grads_out: dict, *, input_grad: bool = True):
-        cols, (b, t, c) = cache
+        x, cols = cache
         grads_out["weights"] = (cols.reshape(-1, cols.shape[-1]),
                                 grad.reshape(-1, self.out_channels))
-        grads_out["x_values"] = (cols[:, ::self.kernel_len], cols[:, -1])
+        grads_out["input"] = x
         grads_out["biases"] = grad.sum(axis=(0, 1))
         if not input_grad:
             return None
         w_mat = self.weights.reshape(-1, self.out_channels)
-        dcols = (grad @ w_mat.T).reshape(b, -1, self.kernel_len, c)
-        dx = np.zeros((b, t, c), dtype=grad.dtype)
+        dcols = (grad @ w_mat.T).reshape(*grad.shape[:2], self.kernel_len, -1)
+        dx = np.zeros(x.shape, dtype=grad.dtype)
         for dt in range(self.kernel_len):
             dx[:, dt:dt + grad.shape[1], :] += dcols[:, :, dt, :]
         return dx
@@ -133,8 +132,8 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
     dtype (a Python float rate does not promote it).  The weights are
     written later, in place, from the factors (X, G); here they must pass
     a bound instead: every |(XᵀG)_ij| is at most rows * max|X| * max|G|,
-    with max|X| taken over grads["x_values"] when the layer stored it (the
-    same values, each about once), and both that and max|W| + lr * that
+    with max|X| taken over grads["input"] when the layer stored it (the
+    same values, each once), and both that and max|W| + lr * that
     must stay below half the dtype's maximum (the half leaves room for
     BLAS rounding).  max|W| is a running upper bound kept with the array
     it was taken on, which only a step writes in place; when there is
@@ -148,7 +147,7 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
     """
     lr = float(lr)
     x, g = grads["weights"]
-    x_max, g_max = _abs_max(*grads.get("x_values", (x,))), _abs_max(g)
+    x_max, g_max = _abs_max(grads.get("input", x)), _abs_max(g)
     if not (math.isfinite(x_max) and math.isfinite(g_max)):
         raise TrainingDivergedError("the weight gradient is non-finite")
     w = layer.weights
@@ -170,13 +169,9 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
         raise TrainingDivergedError("update made the biases non-finite")
 
 
-def _abs_max(a: np.ndarray, *more: np.ndarray) -> float:
-    """max|a| over all the arrays given as a Python float, without a
-    temporary; nan for a NaN."""
-    top = np.maximum(a.max(), -a.min())
-    for b in more:
-        top = np.maximum(top, np.maximum(b.max(), -b.min()))
-    return float(top)
+def _abs_max(a: np.ndarray) -> float:
+    """max|a| as a Python float, without a temporary; nan for a NaN."""
+    return float(np.maximum(a.max(), -a.min()))
 
 
 def _commit(layer, grads: dict, lr: float) -> None:
@@ -236,7 +231,7 @@ class MaxPool:
 
 
 class Dropout:
-    """Inverted dropout: active only in train mode, identity at inference."""
+    """Inverted dropout: active only when given an rng, identity otherwise."""
 
     kind = "dropout"
 
@@ -424,12 +419,13 @@ def _in_compute_dtype(model: Model, x) -> np.ndarray:
         return np.asarray(x, dtype=dtype)
 
 
-def forward_batch(model: Model, x: np.ndarray, train: bool = False,
+def forward_batch(model: Model, x: np.ndarray,
                   rng: np.random.Generator | None = None,
                   want_caches: bool = False, logits: bool = False):
     """(B, frames, channels) -> (B, 2) activations; caches when training.
 
-    The input is cast to the parameters' dtype and the layers compute in
+    Dropout is on exactly when an `rng` is given, as in training.  The
+    input is cast to the parameters' dtype and the layers compute in
     it.  With `logits` the output is the last layer's, before the softmax;
     otherwise the softmax is taken in float64.  Raises ValueError when the
     cast input holds a non-finite value (in float32, any value past about
@@ -447,7 +443,7 @@ def forward_batch(model: Model, x: np.ndarray, train: bool = False,
     caches = []
     for layer in model.layers:
         if isinstance(layer, Dropout):
-            x, cache = layer.forward(x, rng if train else None)
+            x, cache = layer.forward(x, rng)
         else:
             x, cache = layer.forward(x)
         if want_caches:
@@ -487,8 +483,8 @@ def _loss_and_grads(model: Model, inputs: np.ndarray, targets,
                     rng: np.random.Generator) -> tuple[float, list]:
     """Training loss and, in network order, (index, layer, gradients) of
     every trainable layer; the first, a Conv1D, computes no input gradient."""
-    logits, caches = forward_batch(model, inputs, train=True, rng=rng,
-                                   want_caches=True, logits=True)
+    logits, caches = forward_batch(model, inputs, rng=rng, want_caches=True,
+                                   logits=True)
     loss, grad = cross_entropy(logits, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"loss diverged (loss={loss})")
@@ -639,8 +635,7 @@ def grad_check(model: Model, inputs: np.ndarray, targets,
                      (layer.biases, grads["biases"])]
 
     def loss_at() -> float:
-        z = forward_batch(work, x, train=True, rng=np.random.default_rng(0),
-                          logits=True)
+        z = forward_batch(work, x, rng=np.random.default_rng(0), logits=True)
         return cross_entropy(z, y)[0]
 
     worst = 0.0

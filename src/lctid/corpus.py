@@ -1,9 +1,10 @@
 """Corpus handling: manifests, WAV decode/encode, balancing, synthetic data.
 
 Manifest format: UTF-8, tab-separated, header ``id<TAB>path<TAB>dialect``
-with dialect in {LT, CT}.  Audio: RIFF/WAVE, PCM16 or IEEE float32, mono or
-stereo, 16 kHz canonical (other rates are rejected at pipeline entry; there
-is deliberately no resampler).
+with dialect in {LT, CT}.  Audio: RIFF/WAVE, read as PCM16 or IEEE float32,
+mono or stereo, and written as mono PCM16.  16 kHz is canonical: other rates
+are rejected at pipeline entry (there is deliberately no resampler), and the
+synthetic corpus is written at 16 kHz only.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def save_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# WAV I/O (RIFF/WAVE, PCM16 and IEEE float32 only)
+# WAV I/O (RIFF/WAVE: PCM16 and IEEE float32 read, PCM16 written)
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
@@ -215,20 +216,12 @@ def wav_duration_s(path: str | Path) -> float:
     return len(payload) / (bytes_per * channels * rate)
 
 
-def write_wav(path: str | Path, waveform: Waveform, encoding: str = "pcm16") -> None:
-    """Write mono WAV; pcm16 quantization round-trips within 1 LSB."""
+def write_wav(path: str | Path, waveform: Waveform) -> None:
+    """Write mono PCM16 WAV; quantization round-trips within 1 LSB."""
     x = np.asarray(waveform.samples, dtype=np.float64)
-    if encoding == "pcm16":
-        q = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-        payload = q.tobytes()
-        fmt = struct.pack("<HHIIHH", _FMT_PCM, 1, waveform.sample_rate_hz,
-                          waveform.sample_rate_hz * 2, 2, 16)
-    elif encoding == "float32":
-        payload = x.astype("<f4").tobytes()
-        fmt = struct.pack("<HHIIHH", _FMT_FLOAT, 1, waveform.sample_rate_hz,
-                          waveform.sample_rate_hz * 4, 4, 32)
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+    payload = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", _FMT_PCM, 1, waveform.sample_rate_hz,
+                      waveform.sample_rate_hz * 2, 2, 16)
     body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
         + b"data" + struct.pack("<I", len(payload)) + payload
     blob = b"RIFF" + struct.pack("<I", len(body)) + body
@@ -298,7 +291,6 @@ class SynthSpec:
     num_utterances: int = 200
     dur_min_s: float = 1.0
     dur_max_s: float = 4.0
-    sample_rate_hz: int = CANONICAL_RATE_HZ
     out_dir: str = "synth_corpus"
 
 
@@ -327,11 +319,11 @@ def _add_pulse(x: np.ndarray, t_s: float, amp: float, sample_rate_hz: int) -> No
     x[k0:k1 + 1] += amp * np.sin(2.0 * np.pi * tau / w)
 
 
-def _synth_utterance(rng: np.random.Generator, dialect: str, dur_s: float,
-                     sample_rate_hz: int) -> np.ndarray:
+def _synth_utterance(rng: np.random.Generator, dialect: str,
+                     dur_s: float) -> np.ndarray:
     (fm_lo, fm_hi), fm_depth, (am_lo, am_hi), am_depth, jit, shim, silences = \
         _CLASS_PARAMS[dialect]
-    sr = sample_rate_hz
+    sr = CANONICAL_RATE_HZ
     n = int(round(dur_s * sr))
     x = np.zeros(n)
     f0_base = rng.uniform(230.0, 300.0)
@@ -378,10 +370,10 @@ def synth_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         dialect = "LT" if i < half else "CT"
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         dur = rng.uniform(spec.dur_min_s, spec.dur_max_s)
-        samples = _synth_utterance(rng, dialect, dur, spec.sample_rate_hz)
+        samples = _synth_utterance(rng, dialect, dur)
         uid = f"{dialect.lower()}_{i:04d}"
         wav_path = out / f"{uid}.wav"
-        write_wav(wav_path, Waveform(samples, spec.sample_rate_hz))
+        write_wav(wav_path, Waveform(samples, CANONICAL_RATE_HZ))
         records.append(UtteranceRecord(id=uid, audio_path=wav_path.name,
                                        dialect=dialect,
                                        duration_s=wav_duration_s(wav_path)))

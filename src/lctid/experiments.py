@@ -104,7 +104,6 @@ class RankingRow:
 class RankingTable:
     rows: tuple[RankingRow, ...]
     method: str  # "rfe" or "ife"
-    evaluations: int = 0
 
     def gap_stats(self) -> tuple[float, float, float]:
         """(min, max, mean) gaps between successive distinct accuracies."""
@@ -139,7 +138,7 @@ def _rank_accuracies(acc_map: dict[str, float], method: str) -> RankingTable:
     ranks = competition_ranks([acc_map[f] for f in feats],
                               higher_is_better=method == "ife")
     rows = tuple(RankingRow(f, acc_map[f], r) for f, r in zip(feats, ranks))
-    return RankingTable(rows=rows, method=method, evaluations=len(feats))
+    return RankingTable(rows=rows, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +179,8 @@ def prepare_dataset(manifest: CorpusManifest,
 def stratified_holdout(labels: Sequence[str], test_fraction: float,
                        seed: int) -> tuple[list[int], list[int]]:
     """Disjoint per-class split; deterministic for a given seed."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -230,24 +231,31 @@ class ExperimentConfig:
     folds: int = 4
     val_fraction: float = 0.0  # carved out of train for early stopping
 
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in [0, 1), "
+                             f"got {self.val_fraction}")
+
+
+def _segment_batch(u: PreparedUtterance, norm: NormStats,
+                   seg_duration_s: float) -> np.ndarray:
+    """(segments, frames, channels): one utterance z-scored and split."""
+    mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
+    return np.asarray([s.matrix.T for s in segmenter.split(mat, seg_duration_s)])
+
 
 def _segments_for(utterances, norm: NormStats, seg_duration_s: float):
-    xs, ys = [], []
-    for u in utterances:
-        mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
-        for seg in segmenter.split(mat, seg_duration_s):
-            xs.append(seg.matrix.T)  # frames x channels
-            ys.append(DIALECTS.index(u.dialect))
-    return np.asarray(xs), np.asarray(ys)
+    """Every utterance's segments stacked, with its class index per segment."""
+    batches = [_segment_batch(u, norm, seg_duration_s) for u in utterances]
+    labels = [DIALECTS.index(u.dialect) for u in utterances]
+    return np.concatenate(batches), np.repeat(labels, [len(b) for b in batches])
 
 
 def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
                        seg_duration_s: float) -> EvalReport:
     counts: dict[tuple[str, str], int] = {}
     for u in utterances:
-        mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
-        segs = segmenter.split(mat, seg_duration_s)
-        acts = cnn.forward_batch(model, np.asarray([s.matrix.T for s in segs]))
+        acts = cnn.forward_batch(model, _segment_batch(u, norm, seg_duration_s))
         decided = segmenter.aggregate(acts)
         key = (u.dialect, decided)
         counts[key] = counts.get(key, 0) + 1

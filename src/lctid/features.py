@@ -81,7 +81,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     channel_ids: tuple[str, ...]
-    source_id: str = ""
 
     @property
     def num_frames(self) -> int:
@@ -98,8 +97,7 @@ class FeatureMatrix:
         if missing:
             raise KeyError(f"channels not present: {missing}")
         rows = [index[c] for c in ids]
-        return FeatureMatrix(values=self.values[rows], channel_ids=tuple(ids),
-                             source_id=self.source_id)
+        return FeatureMatrix(values=self.values[rows], channel_ids=tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -357,8 +355,7 @@ def extract_matrix(waveform: Waveform,
     values = np.vstack([rows[c] for c in channels])
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite feature values for {source_id or 'utterance'}")
-    return FeatureMatrix(values=values, channel_ids=channels,
-                         source_id=source_id)
+    return FeatureMatrix(values=values, channel_ids=channels)
 
 
 def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray, sr: int,
@@ -404,5 +401,4 @@ def apply_norm(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
     if matrix.channel_ids != stats.channel_ids:
         raise ValueError("channel ids do not match normalization stats")
     values = (matrix.values - stats.mean[:, None]) / stats.std[:, None]
-    return FeatureMatrix(values=values, channel_ids=matrix.channel_ids,
-                         source_id=matrix.source_id)
+    return FeatureMatrix(values=values, channel_ids=matrix.channel_ids)

@@ -50,31 +50,30 @@ def first_quartile(durations: Sequence[float]) -> float:
 
 def segment_frames(segment_duration_s: float) -> int:
     """Frames per segment of the given duration on the `dsp.HOP_MS` grid."""
-    if segment_duration_s <= 0.0:
-        raise ValueError("segment duration must be positive")
-    return int(round(segment_duration_s / (dsp.HOP_MS / 1000.0)))
+    frames = int(round(segment_duration_s / (dsp.HOP_MS / 1000.0)))
+    if frames < 1:
+        raise ValueError(f"segment duration {segment_duration_s} s rounds to "
+                         f"{frames} frames of {dsp.HOP_MS} ms; need >= 1")
+    return frames
 
 
 def split(matrix: FeatureMatrix, segment_duration_s: float) -> list[Segment]:
     """Split into ceil(d_u/d_s) segments; only the last is zero padded.
 
     Concatenating the segments and dropping the padding reproduces the
-    source matrix exactly.
+    source matrix exactly.  The matrix is padded once; each segment is a
+    view of that copy.
     """
     if matrix.num_frames == 0:
         raise ValueError("empty feature matrix")
     seg_len = segment_frames(segment_duration_s)
-    total = matrix.num_frames
-    n_segments = -(-total // seg_len)  # ceil
-    segments = []
-    for i in range(n_segments):
-        chunk = matrix.values[:, i * seg_len:(i + 1) * seg_len]
-        pad = seg_len - chunk.shape[1]
-        if pad:
-            chunk = np.concatenate(
-                [chunk, np.zeros((chunk.shape[0], pad))], axis=1)
-        segments.append(Segment(matrix=chunk, pad_frames=pad))
-    return segments
+    n_segments = -(-matrix.num_frames // seg_len)  # ceil
+    pad = n_segments * seg_len - matrix.num_frames
+    padded = np.zeros((matrix.values.shape[0], n_segments * seg_len))
+    padded[:, :matrix.num_frames] = matrix.values
+    return [Segment(matrix=padded[:, i * seg_len:(i + 1) * seg_len],
+                    pad_frames=pad if i == n_segments - 1 else 0)
+            for i in range(n_segments)]
 
 
 def aggregate(activations: np.ndarray) -> str:

@@ -45,8 +45,7 @@ def synthetic_channel_dataset(num_utterances=24, frames=60, seed=0,
                 rows.append(sign * 1.0 + 0.3 * rng.standard_normal(frames))
             else:
                 rows.append(rng.standard_normal(frames))
-        mat = FeatureMatrix(values=np.asarray(rows), channel_ids=tuple(channels),
-                            source_id=f"u{i:03d}")
+        mat = FeatureMatrix(values=np.asarray(rows), channel_ids=tuple(channels))
         utts.append(experiments.PreparedUtterance(id=f"u{i:03d}",
                                                   dialect=dialect, matrix=mat))
     return experiments.Dataset(utterances=tuple(utts),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 from pathlib import Path
@@ -138,3 +139,63 @@ def test_eval_rejects_a_bad_model_file(tmp_path, capsys, edit):
     assert err.startswith("error: ")
     assert ("retrain" if edit == "version 2" else "CA03 on (40, 3)") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["nan", "NaNh", "inf", "-inf", "-1h"])
+def test_balanced_hours_must_be_finite_and_not_negative(text, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite and >= 0"):
+        cli.parse_hours(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--manifest", "m.tsv", "--out", "run",
+                  f"--balanced={text}"])
+    assert exc.value.code == 2
+    assert f"hours must be finite and >= 0, got {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--test-fraction", "0", "holdout fraction must be in (0, 1), got 0.0"),
+    ("--test-fraction", "-3", "holdout fraction must be in (0, 1), got -3.0"),
+    ("--val-fraction", "nan", "val_fraction must be in [0, 1), got nan"),
+])
+def test_bad_split_fraction_exits_1(tmp_path, monkeypatch, capsys, flag, value,
+                                    message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(["train", "--manifest", "corp/manifest.tsv", "--out", "run",
+                     flag, value]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not Path("run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["ablate", "--method", "ife"],
+    ["combine", "--base", "F0", "--extra", "ZCR"]])
+def test_training_commands_share_input_and_output_flags(command):
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices[command[0]]
+    flags = [s for action in sub._actions for s in action.option_strings]
+    for flag in ("--manifest", "--balanced", "--out", "--seed"):
+        assert flags.count(flag) == 1
+    args = parser.parse_args(command + ["--manifest", "m.tsv", "--balanced", "2h",
+                                        "--out", "run", "--seed", "5"])
+    assert (args.manifest, args.balanced, args.out, args.seed) == (
+        "m.tsv", 2.0, "run", 5)
+
+
+def test_synth_takes_no_rate(tmp_path, capsys):
+    # every reader rejects any rate but 16 kHz, so synth writes only that
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out", str(tmp_path / "c"), "--rate", "8000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rate" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(["ablate", "--method", "ife", "--manifest", "corp/manifest.tsv",
+                     "--features", "F0,ZCR", "--arch", "CA02", "--epochs", "1",
+                     "--seed", "0", "--out", "run"]) == 0
+    record = json.loads(Path("run/results_ife.json").read_text())
+    assert record["evaluations"] == len(record["ranking"]) == 2

@@ -252,16 +252,13 @@ class TestForward:
         model = cnn.build("CA02", 40, 3, seed=1)
         x = np.random.default_rng(4).standard_normal((40, 3))
         # build zero-initialises the classifier: uniform output whatever the mask
-        fresh = cnn.forward_batch(model, x[None], train=True,
-                                  rng=np.random.default_rng(1))[0]
+        fresh = cnn.forward_batch(model, x[None], rng=np.random.default_rng(1))[0]
         assert np.array_equal(fresh, [0.5, 0.5])
         head = model.layers[-1]
         wrng = np.random.default_rng(5)
         head.weights = wrng.normal(0, 0.05, head.weights.shape).astype(np.float32)
-        a = cnn.forward_batch(model, x[None], train=True,
-                              rng=np.random.default_rng(1))[0]
-        b = cnn.forward_batch(model, x[None], train=True,
-                              rng=np.random.default_rng(2))[0]
+        a = cnn.forward_batch(model, x[None], rng=np.random.default_rng(1))[0]
+        b = cnn.forward_batch(model, x[None], rng=np.random.default_rng(2))[0]
         assert not np.array_equal(a, b)
 
     def test_zero_input_matches_bias_only_oracle(self):
@@ -622,15 +619,16 @@ class TestCommit:
 
 @pytest.mark.parametrize("kernel_len,frames", [(1, 4), (3, 8), (3, 9), (5, 11)])
 def test_conv_bound_sees_every_input_value(kernel_len, frames):
-    # the bound reads max|x| from a fraction of the im2col windows: it must
-    # equal max|x| over the whole input, and a NaN anywhere must raise
+    # the bound reads max|X| from the layer's input, not from the im2col
+    # matrix X: both must give max|x|, and a NaN anywhere must raise
     rng = np.random.default_rng(kernel_len)
     layer = cnn.Conv1D(kernel_len, 2, 3)
     x = rng.standard_normal((2, frames, 2))
     out, cache = layer.forward(x)
     grads: dict = {}
     layer.backward(np.ones_like(out), cache, grads)
-    assert cnn._abs_max(*grads["x_values"]) == np.abs(x).max()
+    assert (cnn._abs_max(grads["input"]) == cnn._abs_max(grads["weights"][0])
+            == np.abs(x).max())
     for t in range(frames):
         bad = x.copy()
         bad[1, t, 1] = np.nan

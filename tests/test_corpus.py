@@ -142,7 +142,8 @@ class TestWav:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, 300).astype(np.float32).astype(np.float64)
         p = tmp_path / "f.wav"
-        write_wav(p, Waveform(x, SR), encoding="float32")
+        p.write_bytes(raw_wav_bytes(x.astype("<f4").tobytes(), format_code=3,
+                                    bits=32))
         back = read_wav(p)
         assert np.array_equal(back.samples, x)
 

@@ -98,6 +98,13 @@ class TestSplit:
         with pytest.raises(ValueError):
             segment_frames(0.0)
 
+    def test_duration_under_half_a_frame_errors(self):
+        # 0.004 s is 0.4 of a 10 ms frame: no segment could hold a frame
+        with pytest.raises(ValueError, match="rounds to 0 frames"):
+            segment_frames(0.004)
+        with pytest.raises(ValueError, match="rounds to 0 frames"):
+            split(matrix(10), 0.004)
+
 
 class TestAggregate:
     def test_mean_activation_wins(self):
