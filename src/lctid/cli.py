@@ -1,12 +1,13 @@
 """Command-line surface: synth, extract, plot, train, eval, ablate, combine.
 
-Every run is deterministic given identical flags and seed; results files
-embed the resolved configuration.  A flat ``key = value`` config file
-(``--config``, before the subcommand) can preset any flag; flags win, and
-a key no subcommand knows, or a value outside a flag's choices, is a usage
-error.  Seed resolution: --seed flag, then the LCTID_SEED environment
-variable, then 0.  ``train`` writes ``model.lct``, which is all that
-``eval`` needs, and ``results.json``.
+Every run is deterministic given identical flags; results files embed the
+resolved configuration.  ``--seed`` defaults to 0 and ``--split-seed`` to
+the seed.  ``@FILE`` stands for the arguments in FILE, one per line
+(``--manifest=corp/manifest.tsv``); argparse expands them in place and
+checks them as if typed, so in ``lctid train @run.args --epochs 5`` the
+later ``--epochs`` wins.  ``--verbose`` is a flag of ``lctid`` itself: a
+file that holds it goes before the subcommand.  ``train`` writes
+``model.lct``, which is all that ``eval`` needs, and ``results.json``.
 
 ``synth`` writes 16 kHz PCM16 WAVs.  Every command that extracts features
 decodes its WAVs at the canonical 16 kHz and fails on any other rate;
@@ -71,52 +72,23 @@ def parse_hours(text: str) -> float:
     return value
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment.
-
-    Values stay strings, which argparse converts with each flag's type;
-    true and false become booleans for on/off flags.
-    """
-    values: dict = {}
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{i}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        val = val.strip().strip("\"'")
-        values[key.strip().replace("-", "_")] = {
-            "true": True, "false": False}.get(val.lower(), val)
-    return values
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("LCTID_SEED")
-    return int(env) if env else 0
-
-
 def _experiment_config(args) -> experiments.ExperimentConfig:
-    seed = _resolve_seed(args.seed)
     optimizer = args.optimizer or cnn.default_optimizer(args.arch)
     train_cfg = cnn.TrainConfig(
         optimizer=optimizer, batch_size=args.batch_size,
         learning_rate=args.lr, epochs=args.epochs,
         conv_dropout=args.conv_dropout, dense_dropout=args.dense_dropout,
-        seed=seed, early_stop_patience=args.patience)
+        seed=args.seed, early_stop_patience=args.patience)
     return experiments.ExperimentConfig(
         train=train_cfg, arch_id=args.arch, test_fraction=args.test_fraction,
-        split_seed=args.split_seed if args.split_seed is not None else seed,
+        split_seed=args.split_seed if args.split_seed is not None else args.seed,
         folds=args.folds, val_fraction=args.val_fraction)
 
 
 def _load_balanced(args) -> CorpusManifest:
     manifest = load_manifest(args.manifest)
     if args.balanced is not None:
-        manifest = derive_balanced_subset(manifest, args.balanced,
-                                          _resolve_seed(args.seed))
+        manifest = derive_balanced_subset(manifest, args.balanced, args.seed)
     return manifest
 
 
@@ -125,11 +97,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--balanced", type=parse_hours, default=None,
                    help="derive a balanced subset first, e.g. 8h")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arch", default="CA03", choices=sorted(cnn.ARCHITECTURES))
     p.add_argument("--optimizer", choices=["minibatch_gd", "sgd"],
                    help="default: per-architecture training method")
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=int,
+                   help="default: 1 for sgd, 32 for minibatch_gd")
     p.add_argument("--lr", type=float,
                    help="default: per-optimizer learning rate")
     p.add_argument("--epochs", type=int, default=20)
@@ -190,7 +163,7 @@ def render_contour_svg(panels, ylabel: str, title: str) -> str:
 def cmd_synth(args) -> int:
     spec = SynthSpec(num_utterances=args.count, dur_min_s=args.dur_min,
                      dur_max_s=args.dur_max, out_dir=args.out)
-    manifest = synth_corpus(spec, _resolve_seed(args.seed))
+    manifest = synth_corpus(spec, args.seed)
     print(f"wrote {len(manifest)} utterances and manifest.tsv under {args.out}")
     return 0
 
@@ -346,9 +319,8 @@ def _print_report(report: experiments.EvalReport) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lctid",
+        prog="lctid", fromfile_prefix_chars="@",
         description="Literary vs colloquial speech dialect identification pipeline")
-    parser.add_argument("--config", help="flat key = value config file; flags win")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -357,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--dur-min", type=float, default=1.0)
     p.add_argument("--dur-max", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="dump per-utterance feature CSVs")
@@ -400,35 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # Config file values become parser defaults; explicit flags still win.
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    cfg_path = pre.parse_known_args(argv)[0].config
-    if cfg_path is not None:
-        try:
-            overrides = _parse_config_file(cfg_path)
-        except (OSError, ValueError) as exc:
-            parser.error(f"bad config file: {exc}")
-        subparsers = parser._subparsers._group_actions[0].choices.values()
-        known: set = set()
-        for sp in (parser, *subparsers):
-            # argparse checks choices only on the command line, not on defaults
-            for action in sp._actions:
-                if action.choices is not None and action.dest in overrides \
-                        and overrides[action.dest] not in action.choices:
-                    parser.error(f"config file {cfg_path}: {action.dest} = "
-                                 f"{overrides[action.dest]!r} is not one of: "
-                                 + ", ".join(map(str, action.choices)))
-            dests = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
-            known |= dests
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            parser.error(f"config file {cfg_path}: unknown key(s): "
-                         + ", ".join(unknown))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

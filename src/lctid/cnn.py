@@ -533,7 +533,7 @@ def train_step(model: Model, inputs: np.ndarray, targets,
 @dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "minibatch_gd"  # or "sgd"
-    batch_size: int = 32
+    batch_size: int | None = None  # None: 1 for sgd, 32 for minibatch_gd
     learning_rate: float | None = None  # None: default_learning_rate(optimizer)
     epochs: int = 20
     conv_dropout: float = 0.25
@@ -552,8 +552,14 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size is None:
+            object.__setattr__(self, "batch_size",
+                               1 if self.optimizer == "sgd" else 32)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.optimizer == "sgd" and self.batch_size != 1:
+            raise ValueError(f"sgd steps on one sample; batch_size must be 1, "
+                             f"got {self.batch_size}")
         if self.early_stop_patience < 0:
             raise ValueError(f"early_stop_patience must be >= 0, "
                              f"got {self.early_stop_patience}")

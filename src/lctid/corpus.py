@@ -255,8 +255,12 @@ def derive_balanced_subset(manifest: CorpusManifest, hours_per_class: float,
 
     Selection stops as soon as the running total first reaches or exceeds
     the target, so each class lands within one utterance-duration of it.
-    Raises CorpusError if a class holds less audio than requested.
+    Raises CorpusError if the target is not > 0 or a class holds less
+    audio than requested.
     """
+    if not hours_per_class > 0:
+        raise CorpusError(f"balanced subset needs > 0 h per class, "
+                          f"got {hours_per_class:g} h")
     target_s = hours_per_class * 3600.0
     rng = np.random.default_rng(seed)
     chosen: list[UtteranceRecord] = []

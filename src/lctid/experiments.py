@@ -176,11 +176,15 @@ def prepare_dataset(manifest: CorpusManifest,
     return Dataset(utterances=prepared, channel_ids=channels)
 
 
+def _check_holdout_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
+
+
 def stratified_holdout(labels: Sequence[str], test_fraction: float,
                        seed: int) -> tuple[list[int], list[int]]:
     """Disjoint per-class split; deterministic for a given seed."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in (0, 1), got {test_fraction}")
+    _check_holdout_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
@@ -232,6 +236,10 @@ class ExperimentConfig:
     val_fraction: float = 0.0  # carved out of train for early stopping
 
     def __post_init__(self):
+        # checked here, before any audio is read, as well as where it is used
+        _check_holdout_fraction(self.test_fraction)
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), "
                              f"got {self.val_fraction}")

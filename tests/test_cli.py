@@ -49,46 +49,53 @@ def test_eval_takes_no_feature_or_norm_flags(capsys):
     assert "--features" not in usage and "--norm" not in usage
 
 
-def test_config_given_with_equals_sign(tmp_path, monkeypatch):
+def test_flag_file_sets_required_flags_and_a_later_flag_wins(tmp_path,
+                                                            monkeypatch):
     monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text("count = 2\ndur-max = 0.3\n")
-    assert cli.main(["--config=run.cfg", "synth", "--out", "corp",
-                     "--dur-min", "0.2"]) == 0
-    assert len(corpus.load_manifest("corp/manifest.tsv")) == 2
+    assert cli.main(SYNTH) == 0
+    Path("tr.args").write_text("--manifest=corp/manifest.tsv\n--out=run\n"
+                               "--arch=CA02\n--epochs=3\n")
+    assert cli.main(["train", "@tr.args", "--epochs", "1"]) == 0
+    record = json.loads(Path("run/results.json").read_text())
+    assert record["manifest"] == "corp/manifest.tsv"
+    assert record["config"]["arch_id"] == "CA02"
+    assert record["config"]["train"]["epochs"] == 1
+    assert len(record["history"]["train_loss"]) == 1
 
 
-def test_config_without_a_value_is_a_usage_error(capsys):
+def test_flag_files_keep_spaces_and_may_hold_verbose(tmp_path):
+    # --verbose is lctid's own flag, so its file goes before the subcommand
+    (tmp_path / "log.args").write_text("--verbose\n")
+    (tmp_path / "tr.args").write_text("--manifest=my corp/manifest.tsv\n"
+                                      "--out=run\n")
+    args = cli.build_parser().parse_args(
+        [f"@{tmp_path / 'log.args'}", "train", f"@{tmp_path / 'tr.args'}"])
+    assert args.verbose
+    assert (args.manifest, args.out) == ("my corp/manifest.tsv", "run")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("--learning-rate=0.1", "unrecognized arguments: --learning-rate=0.1"),
+    ("--arch=CA99", "argument --arch: invalid choice: 'CA99'"),
+    ("--balanced=-1h", "hours must be finite and >= 0, got '-1h'"),
+], ids=["unknown-flag", "bad-arch", "bad-balanced"])
+def test_bad_flag_in_a_file_is_a_usage_error(tmp_path, capsys, line, message):
+    # as if typed: exit 2 before the manifest is read
+    (tmp_path / "tr.args").write_text(line + "\n")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["synth", "--out", "corp", "--config"])
+        cli.main(["train", "--manifest", str(tmp_path / "missing.tsv"),
+                  "--out", str(tmp_path / "run"), f"@{tmp_path / 'tr.args'}"])
     assert exc.value.code == 2
-    assert "--config: expected one argument" in capsys.readouterr().err
-
-
-def test_config_key_no_subcommand_knows_is_a_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epochs = 5\nepoch = 5\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "synth", "--out", str(tmp_path / "c")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unknown key(s): epoch" in err
-    assert not (tmp_path / "c").exists()
-
-
-@pytest.mark.parametrize("line, key", [("arch = CA99", "arch"),
-                                       ("optimizer = adam", "optimizer")])
-def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys,
-                                                       line, key):
-    # as `--arch CA99` would: exit 2 before the manifest is read
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "train", "--manifest",
-                  str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "run")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"{key} = " in err and "is not one of" in err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--manifest", str(tmp_path / "missing.tsv"),
+                  "--out", str(tmp_path / "run"), "--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
 def test_extract_and_plot_reject_other_sample_rates(tmp_path, capsys, caplog):
@@ -107,15 +114,15 @@ def test_extract_and_plot_reject_other_sample_rates(tmp_path, capsys, caplog):
     assert not (tmp_path / "p.svg").exists()
 
 
-@pytest.mark.parametrize("config", [None, "jobs = 2"])
-def test_jobs_is_a_usage_error(tmp_path, capsys, config):
+@pytest.mark.parametrize("file_line", [None, "--jobs=2"])
+def test_jobs_is_a_usage_error(tmp_path, capsys, file_line):
     argv = ["extract", "--manifest", str(tmp_path / "m.tsv"),
             "--out", str(tmp_path / "csv")]
-    if config is None:
+    if file_line is None:
         argv += ["--jobs", "2"]
     else:
-        (tmp_path / "run.cfg").write_text(config + "\n")
-        argv = ["--config", str(tmp_path / "run.cfg")] + argv
+        (tmp_path / "ex.args").write_text(file_line + "\n")
+        argv.append(f"@{tmp_path / 'ex.args'}")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -199,3 +206,51 @@ def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
                      "--seed", "0", "--out", "run"]) == 0
     record = json.loads(Path("run/results_ife.json").read_text())
     assert record["evaluations"] == len(record["ranking"]) == 2
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    (["train"], ["--test-fraction", "0"],
+     "holdout fraction must be in (0, 1), got 0.0"),
+    (["ablate", "--method", "rfe"], ["--test-fraction", "1"],
+     "holdout fraction must be in (0, 1), got 1.0"),
+    (["ablate", "--method", "rfe"], ["--folds", "1"], "folds must be >= 2, got 1"),
+    (["train"], ["--optimizer", "sgd", "--batch-size", "32"],
+     "sgd steps on one sample; batch_size must be 1, got 32"),
+], ids=["train-test-fraction", "rfe-test-fraction", "rfe-folds", "sgd-batch"])
+def test_run_settings_fail_before_the_manifest_is_read(tmp_path, capsys, command,
+                                                       flags, message):
+    assert cli.main(command + ["--manifest", str(tmp_path / "missing.tsv"),
+                               "--out", str(tmp_path / "run")] + flags) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "manifest not found" not in err
+
+
+@pytest.mark.parametrize("arch, optimizer, batch_size", [
+    ("CA03", "sgd", 1), ("CA01", "minibatch_gd", 32)])
+def test_batch_size_defaults_per_optimizer(arch, optimizer, batch_size):
+    args = cli.build_parser().parse_args(
+        ["train", "--manifest", "m.tsv", "--out", "run", "--arch", arch])
+    train = cli._experiment_config(args).train
+    assert (train.optimizer, train.batch_size) == (optimizer, batch_size)
+
+
+def test_balanced_zero_hours_names_the_hours(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(["train", "--manifest", "corp/manifest.tsv", "--out", "run",
+                     "--balanced", "0h"]) == 1
+    assert ("error: balanced subset needs > 0 h per class, got 0 h"
+            in capsys.readouterr().err)
+    assert not Path("run").exists()
+
+
+def test_ablate_rfe_writes_one_row_per_feature(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(["ablate", "--method", "rfe", "--manifest", "corp/manifest.tsv",
+                     "--features", "F0,ZCR", "--arch", "CA02", "--epochs", "1",
+                     "--folds", "2", "--out", "run"]) == 0
+    rows = Path("run/ranking_rfe.csv").read_text().splitlines()[1:]
+    record = json.loads(Path("run/results_rfe.json").read_text())
+    assert record["command"] == "ablate:rfe"
+    assert record["evaluations"] == len(record["ranking"]) == len(rows) == 2

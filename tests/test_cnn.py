@@ -461,6 +461,15 @@ class TestTraining:
         assert cnn.TrainConfig(optimizer="minibatch_gd").learning_rate == 0.01
         assert cnn.TrainConfig(optimizer="sgd", learning_rate=0.2).learning_rate == 0.2
 
+    def test_batch_size_defaults_per_optimizer(self):
+        assert cnn.TrainConfig(optimizer="sgd").batch_size == 1
+        assert cnn.TrainConfig(optimizer="minibatch_gd").batch_size == 32
+        assert cnn.TrainConfig(optimizer="minibatch_gd", batch_size=4).batch_size == 4
+        # sgd steps on one drawn sample; a larger batch would be recorded
+        # but never used
+        with pytest.raises(ValueError, match="batch_size must be 1, got 32"):
+            cnn.TrainConfig(optimizer="sgd", batch_size=32)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             cnn.TrainConfig(learning_rate=0.0)

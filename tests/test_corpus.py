@@ -185,10 +185,11 @@ class TestBalancedSubset:
             assert totals[d] - 8.0 * 3600 <= max(r.duration_s for r in manifest.records)
         assert len(sub.by_dialect("LT")) < 3600  # heavily subsampled
 
-    def test_zero_target_empty(self):
+    def test_zero_target_is_rejected(self):
+        # an empty subset would fail later, in the split, without the cause
         manifest = _fake_manifest([1.0, 2.0], [3.0])
-        sub = derive_balanced_subset(manifest, 0.0, seed=0)
-        assert len(sub) == 0
+        with pytest.raises(CorpusError, match="needs > 0 h per class, got 0 h"):
+            derive_balanced_subset(manifest, 0.0, seed=0)
 
     def test_deterministic(self):
         manifest = _fake_manifest(list(range(1, 40)), list(range(1, 40)))

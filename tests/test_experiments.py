@@ -59,6 +59,19 @@ def test_ife_ranks_signal_above_noise():
     assert len(table.rows) == 2
 
 
+def test_rfe_ranks_removing_signal_first():
+    dataset = synthetic_channel_dataset(channels=("SIG", "NOISE", "NOISE2"))
+    config = experiments.ExperimentConfig(
+        train=cnn.TrainConfig(optimizer="minibatch_gd", batch_size=4, epochs=4,
+                              seed=0),
+        arch_id="CA02", folds=2)
+    table = experiments.rfe_round(["SIG", "NOISE", "NOISE2"], dataset, config)
+    assert table.method == "rfe"
+    # without SIG only noise is left; with it every fold separates
+    ranks = {row.feature_id: row.rank for row in table.rows}
+    assert ranks == {"SIG": 1, "NOISE": 2, "NOISE2": 2}
+
+
 def test_combine_rejects_overlapping_sets():
     with pytest.raises(ValueError, match="overlapping channels: \\['F0'\\]"):
         experiments.combine_and_eval("F0,ENERGY", "F0,ZCR",
@@ -75,6 +88,16 @@ def test_holdout_rejects_a_fraction_outside_0_1(fraction):
 def test_config_rejects_a_val_fraction_outside_0_1(fraction):
     with pytest.raises(ValueError, match=r"val_fraction must be in \[0, 1\)"):
         experiments.ExperimentConfig(val_fraction=fraction)
+
+
+@pytest.mark.parametrize("settings, match", [
+    ({"test_fraction": 0.0}, r"holdout fraction must be in \(0, 1\), got 0.0"),
+    ({"folds": 1}, "folds must be >= 2, got 1"),
+])
+def test_config_rejects_split_settings_before_any_run(settings, match):
+    # rfe_round never reads test_fraction; the config checks it for every run
+    with pytest.raises(ValueError, match=match):
+        experiments.ExperimentConfig(**settings)
 
 
 def _decision_loop_stack(utt, norm, seg_duration_s):
