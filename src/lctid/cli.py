@@ -1,11 +1,14 @@
-"""Command-line surface: synth, extract, plot, train, eval, ablate, combine.
+"""Command-line surface: synth, extract, plot, train, eval, ablate.
 
 Every run is deterministic given identical flags; results files embed the
-resolved configuration.  ``--seed`` defaults to 0 and ``--split-seed`` to
-the seed.  ``@FILE`` stands for the arguments in FILE, one per line
-(``--manifest=corp/manifest.tsv``); argparse expands them in place and
-checks them as if typed, so in ``lctid train @run.args --epochs 5`` the
-later ``--epochs`` wins.  ``--verbose`` is a flag of ``lctid`` itself: a
+resolved configuration.  ``--features`` takes a comma list whose items are
+set names (handcrafted, mfcc, all) or channel ids, so ``train --features
+handcrafted,mfcc`` trains on the union of two sets.  ``--seed`` defaults
+to 0 and ``--split-seed`` to the seed.  ``@FILE`` stands for the
+arguments in FILE, one per line (``--manifest=corp/manifest.tsv``);
+argparse expands them in place and checks them as if typed, so in
+``lctid train @run.args --epochs 5`` the later ``--epochs`` wins.  No
+flag may be shortened.  ``--verbose`` is a flag of ``lctid`` itself: a
 file that holds it goes before the subcommand.  ``train`` writes
 ``model.lct``, which is all that ``eval`` needs, and ``results.json``.
 
@@ -20,6 +23,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -286,27 +290,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_combine(args) -> int:
-    config = _experiment_config(args)
-    manifest = _load_balanced(args)
-    base = resolve_featureset(args.base)
-    extra = resolve_featureset(args.extra)
-    union = tuple(c for c in features.ALL_IDS if c in set(base) | set(extra))
-    dataset = experiments.prepare_dataset(manifest, union)
-    report, _model, aux = experiments.combine_and_eval(base, extra, dataset, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    record = experiments.run_record(config, union, [report], extra={
-        "command": "combine",
-        "manifest": str(args.manifest),
-        "base": list(base), "extra": list(extra),
-        "segment_duration_s": aux["segment_duration_s"],
-    })
-    _write_json(out / "results_combine.json", record)
-    _print_report(report)
-    return 0
-
-
 def _print_report(report: experiments.EvalReport) -> None:
     for d, m in report.per_class.items():
         print(f"{d}: precision {m.precision:.4f}  recall {m.recall:.4f}  "
@@ -318,11 +301,15 @@ def _print_report(report: experiments.EvalReport) -> None:
 # Parser
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a shortened or misspelt flag, typed or in a
+    # flag file, is a usage error instead of another flag
     parser = argparse.ArgumentParser(
-        prog="lctid", fromfile_prefix_chars="@",
+        prog="lctid", fromfile_prefix_chars="@", allow_abbrev=False,
         description="Literary vs colloquial speech dialect identification pipeline")
     parser.add_argument("--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth", help="generate the synthetic two-class corpus")
     p.add_argument("--out", required=True)
@@ -361,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="handcrafted")
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("combine", help="concatenate two feature sets and evaluate")
-    p.add_argument("--base", required=True)
-    p.add_argument("--extra", required=True)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_combine)
 
     return parser
 

@@ -5,9 +5,9 @@ across time and summed over input channels.  Parameters are stored as
 float32, matching the model file format exactly, so save/load round-trips
 bit-exactly.  The network computes in its parameters' dtype: inputs are
 cast to it once, and activations, gradients and updates stay in it, so a
-loaded or freshly built model runs in float32 and `grad_check`'s float64
-copy runs the same code in float64.  Only the softmax and the loss, on the
-(B, 2) logits, are taken in float64.
+loaded or freshly built model runs in float32 and a float64 copy runs the
+same code in float64.  Only the softmax and the loss, on the (B, 2)
+logits, are taken in float64.
 
 Architectures: two pairs of convolutional layers, each pair followed by
 max-pooling of frame pairs and dropout, then one or two ReLU dense layers
@@ -36,7 +36,6 @@ A step that raises writes nothing.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ __all__ = [
     "TrainingDivergedError", "Conv1D", "ReLU", "MaxPool", "Dropout",
     "Flatten", "Dense", "Model", "TrainConfig", "build",
     "forward_batch", "cross_entropy", "train_step", "train",
-    "grad_check", "save", "load", "default_optimizer", "default_learning_rate",
+    "save", "load", "default_optimizer", "default_learning_rate",
 ]
 
 
@@ -563,6 +562,11 @@ class TrainConfig:
         if self.early_stop_patience < 0:
             raise ValueError(f"early_stop_patience must be >= 0, "
                              f"got {self.early_stop_patience}")
+        for name in ("conv_dropout", "dense_dropout"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < 1.0:  # checked again by Dropout, at build
+                raise ValueError(f"{name}: dropout rate must be in [0, 1), "
+                                 f"got {rate}")
 
 
 def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
@@ -615,62 +619,6 @@ def train(model: Model, inputs: np.ndarray, targets: np.ndarray,
                 if config.early_stop_patience and stale >= config.early_stop_patience:
                     break
     return history
-
-
-# ---------------------------------------------------------------------------
-# Gradient check
-
-def grad_check(model: Model, inputs: np.ndarray, targets,
-               epsilon: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Checks the gradients `train_step` applies to the batch `inputs`
-    (batch, frames, channels) with `targets` (class indices), including
-    their mean over the batch, on a float64 copy of the model with dropout
-    disabled; intended for small models (<= a few thousand parameters).
-    """
-    work = _float64_copy(model)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets)
-
-    _, updates = _loss_and_grads(work, x, y, np.random.default_rng(0))
-    analytic = []
-    for _, layer, grads in updates:
-        xf, gf = grads["weights"]
-        analytic += [(layer.weights, xf.T @ gf),
-                     (layer.biases, grads["biases"])]
-
-    def loss_at() -> float:
-        z = forward_batch(work, x, rng=np.random.default_rng(0), logits=True)
-        return cross_entropy(z, y)[0]
-
-    worst = 0.0
-    for params, g_analytic in analytic:
-        flat = params.reshape(-1)
-        g_flat = g_analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up = loss_at()
-            flat[i] = orig - epsilon
-            down = loss_at()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(g_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(g_flat[i] - numeric) / denom)
-    return worst
-
-
-def _float64_copy(model: Model) -> Model:
-    """A copy with float64 parameters and dropout off."""
-    work = copy.deepcopy(model)
-    for layer in work.layers:
-        if isinstance(layer, (Conv1D, Dense)):
-            layer.weights = layer.weights.astype(np.float64)
-            layer.biases = layer.biases.astype(np.float64)
-        elif isinstance(layer, Dropout):
-            layer.rate = 0.0
-    return work
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,6 @@ class UtteranceRecord:
 class CorpusManifest:
     records: tuple[UtteranceRecord, ...]
 
-    @property
-    def total_duration_per_class(self) -> dict[str, float]:
-        totals = {d: 0.0 for d in DIALECTS}
-        for r in self.records:
-            totals[r.dialect] += r.duration_s
-        return totals
-
     def by_dialect(self, dialect: str) -> tuple[UtteranceRecord, ...]:
         return tuple(r for r in self.records if r.dialect == dialect)
 

@@ -32,7 +32,7 @@ __all__ = [
     "ExperimentConfig", "PreparedUtterance", "Dataset",
     "report_from_confusion", "prepare_dataset", "stratified_holdout",
     "kfold_indices", "train_and_evaluate", "evaluate",
-    "rfe_round", "ife", "combine_and_eval", "competition_ranks",
+    "rfe_round", "ife", "competition_ranks",
     "run_record",
 ]
 
@@ -120,15 +120,15 @@ class RankingTable:
 
 
 def competition_ranks(values: Sequence[float], higher_is_better: bool) -> list[int]:
-    """Standard competition ranking: ties share a rank, later ranks skip."""
-    ranks = []
-    for v in values:
-        if higher_is_better:
-            better = sum(1 for u in values if u > v)
-        else:
-            better = sum(1 for u in values if u < v)
-        ranks.append(1 + better)
-    return ranks
+    """Standard competition ranking: ties share a rank, later ranks skip.
+
+    A value's rank is 1 plus the number of values better than it, which is
+    where it first fits in the values sorted best first.
+    """
+    keys = np.asarray(values, dtype=float)
+    if higher_is_better:
+        keys = -keys
+    return (np.searchsorted(np.sort(keys), keys, side="left") + 1).tolist()
 
 
 def _rank_accuracies(acc_map: dict[str, float], method: str) -> RankingTable:
@@ -384,25 +384,6 @@ def ife(features: Iterable[str], dataset: Dataset,
         acc_map[f] = report.accuracy
         logger.info("ife: %s alone -> accuracy %.4f", f, report.accuracy)
     return _rank_accuracies(acc_map, "ife")
-
-
-def combine_and_eval(base: str | Iterable[str], extra: str | Iterable[str],
-                     dataset: Dataset, config: ExperimentConfig,
-                     ) -> tuple[EvalReport, cnn.Model, dict]:
-    """Concatenate two disjoint channel sets and run the standard protocol."""
-    base_ids = resolve_featureset(base)
-    extra_ids = resolve_featureset(extra)
-    overlap = set(base_ids) & set(extra_ids)
-    if overlap:
-        raise ValueError(f"overlapping channels: {sorted(overlap)}")
-    channels = tuple(c for c in dataset.channel_ids
-                     if c in set(base_ids) | set(extra_ids))
-    if len(channels) != len(base_ids) + len(extra_ids):
-        raise KeyError("combined channels missing from dataset")
-    train_idx, test_idx = stratified_holdout(dataset.labels,
-                                             config.test_fraction,
-                                             config.split_seed)
-    return train_and_evaluate(dataset, channels, config, train_idx, test_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -58,18 +58,21 @@ __all__ = [
 
 
 def resolve_featureset(spec: str | Iterable[str]) -> tuple[str, ...]:
-    """Named set ('handcrafted', 'mfcc', 'all') or explicit ids -> canonical order."""
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name in FEATURESET_NAMES:
-            return FEATURESET_NAMES[name]
-        ids = [s.strip().upper() for s in spec.split(",") if s.strip()]
-    else:
-        ids = [str(s).strip().upper() for s in spec]
-    unknown = [i for i in ids if i not in ALL_IDS]
+    """Set names ('handcrafted', 'mfcc', 'all') and channel ids, as a comma
+    list or an iterable -> the union of their channels in canonical order."""
+    items = spec.split(",") if isinstance(spec, str) else spec
+    wanted: set[str] = set()
+    unknown = []
+    for item in items:
+        name = str(item).strip()
+        if name.lower() in FEATURESET_NAMES:
+            wanted.update(FEATURESET_NAMES[name.lower()])
+        elif name.upper() in ALL_IDS:
+            wanted.add(name.upper())
+        elif name:
+            unknown.append(name.upper())
     if unknown:
         raise ValueError(f"unknown feature ids {unknown}; valid ids: {', '.join(ALL_IDS)}")
-    wanted = set(ids)
     if not wanted:
         raise ValueError("empty feature set")
     return tuple(i for i in ALL_IDS if i in wanted)

@@ -78,7 +78,11 @@ def test_flag_files_keep_spaces_and_may_hold_verbose(tmp_path):
     ("--learning-rate=0.1", "unrecognized arguments: --learning-rate=0.1"),
     ("--arch=CA99", "argument --arch: invalid choice: 'CA99'"),
     ("--balanced=-1h", "hours must be finite and >= 0, got '-1h'"),
-], ids=["unknown-flag", "bad-arch", "bad-balanced"])
+    # no flag may be shortened: these are not --epochs and --val-fraction
+    ("--epoch=5", "unrecognized arguments: --epoch=5"),
+    ("--val=0.1", "unrecognized arguments: --val=0.1"),
+], ids=["unknown-flag", "bad-arch", "bad-balanced", "prefix-of-epochs",
+        "prefix-of-val-fraction"])
 def test_bad_flag_in_a_file_is_a_usage_error(tmp_path, capsys, line, message):
     # as if typed: exit 2 before the manifest is read
     (tmp_path / "tr.args").write_text(line + "\n")
@@ -175,18 +179,28 @@ def test_bad_split_fraction_exits_1(tmp_path, monkeypatch, capsys, flag, value,
 
 
 @pytest.mark.parametrize("command", [
-    ["train"], ["ablate", "--method", "ife"],
-    ["combine", "--base", "F0", "--extra", "ZCR"]])
-def test_training_commands_share_input_and_output_flags(command):
+    ["train"], ["ablate", "--method", "ife"], ["ablate", "--method", "rfe"]])
+def test_training_commands_share_input_and_output_flags(command, capsys):
     parser = cli.build_parser()
-    sub = parser._subparsers._group_actions[0].choices[command[0]]
-    flags = [s for action in sub._actions for s in action.option_strings]
-    for flag in ("--manifest", "--balanced", "--out", "--seed"):
-        assert flags.count(flag) == 1
+    with pytest.raises(SystemExit):
+        parser.parse_args(command[:1] + ["--help"])
+    usage = capsys.readouterr().out
+    for flag in ("--manifest", "--balanced", "--out", "--seed", "--features"):
+        assert f"  {flag} " in usage
     args = parser.parse_args(command + ["--manifest", "m.tsv", "--balanced", "2h",
-                                        "--out", "run", "--seed", "5"])
-    assert (args.manifest, args.balanced, args.out, args.seed) == (
-        "m.tsv", 2.0, "run", 5)
+                                        "--out", "run", "--seed", "5",
+                                        "--features", "handcrafted,mfcc"])
+    assert (args.manifest, args.balanced, args.out, args.seed, args.features) == (
+        "m.tsv", 2.0, "run", 5, "handcrafted,mfcc")
+
+
+def test_combine_is_gone(tmp_path, capsys):
+    # train --features handcrafted,mfcc trains on the union of two sets
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["combine", "--manifest", str(tmp_path / "missing.tsv"),
+                  "--base", "F0", "--extra", "ZCR", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'combine'" in capsys.readouterr().err
 
 
 def test_synth_takes_no_rate(tmp_path, capsys):
@@ -216,7 +230,12 @@ def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
     (["ablate", "--method", "rfe"], ["--folds", "1"], "folds must be >= 2, got 1"),
     (["train"], ["--optimizer", "sgd", "--batch-size", "32"],
      "sgd steps on one sample; batch_size must be 1, got 32"),
-], ids=["train-test-fraction", "rfe-test-fraction", "rfe-folds", "sgd-batch"])
+    (["train"], ["--conv-dropout", "1"],
+     "conv_dropout: dropout rate must be in [0, 1), got 1.0"),
+    (["ablate", "--method", "ife"], ["--dense-dropout", "-0.5"],
+     "dense_dropout: dropout rate must be in [0, 1), got -0.5"),
+], ids=["train-test-fraction", "rfe-test-fraction", "rfe-folds", "sgd-batch",
+        "conv-dropout", "dense-dropout"])
 def test_run_settings_fail_before_the_manifest_is_read(tmp_path, capsys, command,
                                                        flags, message):
     assert cli.main(command + ["--manifest", str(tmp_path / "missing.tsv"),

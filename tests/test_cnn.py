@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import maxpool_oracle as pool_oracle
+from grad_oracle import float64_copy, grad_check
 from lctid import cnn
 from lctid.features import ALL_IDS, NormStats
 
@@ -700,7 +701,7 @@ class TestComputeDtype:
         model = tiny_model(seed=3)
         expected = np.float32
         if to_float64:
-            model, expected = cnn._float64_copy(model), np.float64
+            model, expected = float64_copy(model), np.float64
         seen = _spy_dtypes(model)
         x = np.random.default_rng(4).standard_normal((3, 8, 2))  # float64
         # a numpy float64 learning rate must not promote the update either
@@ -729,7 +730,7 @@ class TestComputeDtype:
         for layer in model.layers:
             if isinstance(layer, cnn.Dropout):
                 layer.rate = 0.0
-        wide = cnn._float64_copy(model)
+        wide = float64_copy(model)
         x = np.random.default_rng(seed + 1).standard_normal((4, 8, 2))
         y = np.array([0, 1, 1, 0])
         loss32, grads32 = cnn._loss_and_grads(model, x, y, np.random.default_rng(0))
@@ -796,9 +797,9 @@ class TestInputLayer:
 
     def test_grad_check(self, monkeypatch):
         calls, passes = _spy_backprop(monkeypatch)
-        err = cnn.grad_check(tiny_model(seed=5),
-                             np.random.default_rng(6).standard_normal((2, 8, 2)),
-                             [1, 0], epsilon=1e-5)
+        err = grad_check(tiny_model(seed=5),
+                         np.random.default_rng(6).standard_normal((2, 8, 2)),
+                         [1, 0], epsilon=1e-5)
         self.check(calls, passes)
         assert err < 1e-4
 
@@ -808,15 +809,15 @@ class TestGradCheck:
     # the batch in the training gradient.
 
     def test_miniature_model_below_1e4(self):
-        err = cnn.grad_check(tiny_model(seed=5),
-                             np.random.default_rng(6).standard_normal((2, 8, 2)),
-                             [1, 0], epsilon=1e-5)
+        err = grad_check(tiny_model(seed=5),
+                         np.random.default_rng(6).standard_normal((2, 8, 2)),
+                         [1, 0], epsilon=1e-5)
         assert err < 1e-4
 
     def test_other_seed(self):
-        err = cnn.grad_check(tiny_model(seed=12),
-                             np.random.default_rng(13).standard_normal((3, 8, 2)),
-                             [0, 0, 1], epsilon=1e-5)
+        err = grad_check(tiny_model(seed=12),
+                         np.random.default_rng(13).standard_normal((3, 8, 2)),
+                         [0, 0, 1], epsilon=1e-5)
         assert err < 1e-4
 
 

@@ -14,6 +14,23 @@ def test_competition_ranks_with_ties():
     assert experiments.competition_ranks(values, higher_is_better=False) == [3, 2, 3, 1]
 
 
+def competition_ranks_oracle(values, higher_is_better):
+    """1 plus the number of values strictly better, counted pair by pair."""
+    if higher_is_better:
+        return [1 + sum(1 for u in values if u > v) for v in values]
+    return [1 + sum(1 for u in values if u < v) for v in values]
+
+
+# few distinct values, so most lists hold ties
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-1e3, 1e3),
+                max_size=12),
+       st.booleans())
+def test_competition_ranks_match_the_pairwise_count(values, higher_is_better):
+    assert (experiments.competition_ranks(values, higher_is_better)
+            == competition_ranks_oracle(values, higher_is_better))
+
+
 @st.composite
 def labelled_splits(draw):
     n_lt = draw(st.integers(2, 15))
@@ -70,12 +87,6 @@ def test_rfe_ranks_removing_signal_first():
     # without SIG only noise is left; with it every fold separates
     ranks = {row.feature_id: row.rank for row in table.rows}
     assert ranks == {"SIG": 1, "NOISE": 2, "NOISE2": 2}
-
-
-def test_combine_rejects_overlapping_sets():
-    with pytest.raises(ValueError, match="overlapping channels: \\['F0'\\]"):
-        experiments.combine_and_eval("F0,ENERGY", "F0,ZCR",
-                                     synthetic_channel_dataset(), _config())
 
 
 @pytest.mark.parametrize("fraction", [0.0, -3.0, 1.0, float("nan")])

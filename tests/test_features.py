@@ -278,9 +278,16 @@ class TestResolveFeatureset:
         assert resolve_featureset(["HNR", "F0", "ENERGY"]) == ("F0", "ENERGY", "HNR")
         assert resolve_featureset("energy,hnr,f0") == ("F0", "ENERGY", "HNR")
 
+    def test_set_names_and_ids_give_their_union(self):
+        assert resolve_featureset("handcrafted,mfcc") == features.ALL_IDS
+        assert resolve_featureset("mfcc,F0") == ("F0",) + features.MFCC_IDS
+        assert resolve_featureset(["handcrafted", "ZCR"]) == features.HANDCRAFTED_IDS
+
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown feature ids"):
             resolve_featureset(["FOO"])
+        with pytest.raises(ValueError, match=r"unknown feature ids \['FOO'\]"):
+            resolve_featureset("mfcc,FOO")
 
 
 class TestExtractMatrix:
