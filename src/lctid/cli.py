@@ -78,11 +78,18 @@ def parse_hours(text: str) -> float:
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
     optimizer = args.optimizer or cnn.default_optimizer(args.arch)
+    # early stopping reads the validation loss, so it needs a validation split
+    patience = args.patience
+    if patience is None:
+        patience = 5 if args.val_fraction > 0 else 0
+    elif patience > 0 and args.val_fraction == 0:
+        raise ValueError(f"patience {patience} needs a validation split; "
+                         f"set --val-fraction > 0")
     train_cfg = cnn.TrainConfig(
         optimizer=optimizer, batch_size=args.batch_size,
         learning_rate=args.lr, epochs=args.epochs,
         conv_dropout=args.conv_dropout, dense_dropout=args.dense_dropout,
-        seed=args.seed, early_stop_patience=args.patience)
+        seed=args.seed, early_stop_patience=patience)
     return experiments.ExperimentConfig(
         train=train_cfg, arch_id=args.arch, test_fraction=args.test_fraction,
         split_seed=args.split_seed if args.split_seed is not None else args.seed,
@@ -112,8 +119,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--conv-dropout", type=float, default=0.25)
     p.add_argument("--dense-dropout", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=5,
-                   help="early-stop patience on validation loss (0 = off)")
+    p.add_argument("--patience", type=int,
+                   help="early-stop patience on validation loss (0 = off); "
+                        "default: 5 with --val-fraction > 0, else 0")
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.0)
     p.add_argument("--split-seed", type=int, default=None)

@@ -1,8 +1,11 @@
 """Training/evaluation protocol, metrics, and feature-ablation harnesses.
 
 Evaluation is always at the utterance level: per-segment softmax
-activations are averaged and the larger column wins.  Each metric is a
-ratio of integer counts, taken as one correctly rounded division.
+activations are averaged and the larger column wins.  The held-out
+segments are scored in chunks of `EVAL_CHUNK_SEGMENTS`, not one forward
+per utterance; each utterance's rows then go to `segmenter.aggregate`, the
+one decision rule.  Each metric is a ratio of integer counts, taken as one
+correctly rounded division.
 
 RFE ranks features by the accuracy drop when each one is removed (k-fold
 mean per removal); IFE ranks them by the accuracy each achieves alone.
@@ -245,6 +248,11 @@ class ExperimentConfig:
                              f"got {self.val_fraction}")
 
 
+# Held-out segments per forward.  A batch of one or two segments streams all
+# of dense0's weights per utterance; a chunk shares them and caps the memory.
+EVAL_CHUNK_SEGMENTS = 16
+
+
 def _segment_batch(u: PreparedUtterance, norm: NormStats,
                    seg_duration_s: float) -> np.ndarray:
     """(segments, frames, channels): one utterance z-scored and split."""
@@ -261,11 +269,15 @@ def _segments_for(utterances, norm: NormStats, seg_duration_s: float):
 
 def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
                        seg_duration_s: float) -> EvalReport:
+    """Score every utterance's segments in chunks; decide per utterance."""
+    batches = [_segment_batch(u, norm, seg_duration_s) for u in utterances]
+    xs = np.concatenate(batches)
+    acts = np.concatenate([cnn.forward_batch(model, xs[i:i + EVAL_CHUNK_SEGMENTS])
+                           for i in range(0, len(xs), EVAL_CHUNK_SEGMENTS)])
+    ends = np.cumsum([len(b) for b in batches])[:-1]
     counts: dict[tuple[str, str], int] = {}
-    for u in utterances:
-        acts = cnn.forward_batch(model, _segment_batch(u, norm, seg_duration_s))
-        decided = segmenter.aggregate(acts)
-        key = (u.dialect, decided)
+    for u, utt_acts in zip(utterances, np.split(acts, ends)):
+        key = (u.dialect, segmenter.aggregate(utt_acts))
         counts[key] = counts.get(key, 0) + 1
     return report_from_confusion(counts)
 
@@ -277,7 +289,9 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
     """Train one model on the given split and score it on the held-out part.
 
     Segment duration is the first quartile of the training utterances'
-    durations; normalization is fitted on the training matrices only.
+    durations; normalization is fitted on the training matrices only.  The
+    held-out segments are scored in chunks of `EVAL_CHUNK_SEGMENTS`, and
+    each utterance is decided by `segmenter.aggregate` over its own rows.
     """
     channels = tuple(channels)
     train_utts = [dataset.utterances[i] for i in train_idx]

@@ -234,8 +234,10 @@ def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
      "conv_dropout: dropout rate must be in [0, 1), got 1.0"),
     (["ablate", "--method", "ife"], ["--dense-dropout", "-0.5"],
      "dense_dropout: dropout rate must be in [0, 1), got -0.5"),
+    (["train"], ["--patience", "3"],
+     "patience 3 needs a validation split; set --val-fraction > 0"),
 ], ids=["train-test-fraction", "rfe-test-fraction", "rfe-folds", "sgd-batch",
-        "conv-dropout", "dense-dropout"])
+        "conv-dropout", "dense-dropout", "patience-without-val"])
 def test_run_settings_fail_before_the_manifest_is_read(tmp_path, capsys, command,
                                                        flags, message):
     assert cli.main(command + ["--manifest", str(tmp_path / "missing.tsv"),
@@ -251,6 +253,15 @@ def test_batch_size_defaults_per_optimizer(arch, optimizer, batch_size):
         ["train", "--manifest", "m.tsv", "--out", "run", "--arch", arch])
     train = cli._experiment_config(args).train
     assert (train.optimizer, train.batch_size) == (optimizer, batch_size)
+
+
+@pytest.mark.parametrize("flags, patience", [
+    ([], 0), (["--patience", "0"], 0), (["--val-fraction", "0.2"], 5),
+    (["--val-fraction", "0.2", "--patience", "2"], 2)])
+def test_patience_defaults_per_validation_split(flags, patience):
+    args = cli.build_parser().parse_args(
+        ["train", "--manifest", "m.tsv", "--out", "run"] + flags)
+    assert cli._experiment_config(args).train.early_stop_patience == patience
 
 
 def test_balanced_zero_hours_names_the_hours(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctid import cnn, experiments, segmenter
+from lctid import cnn, dsp, experiments, segmenter
 from lctid.corpus import DIALECTS
 from lctid.features import apply_norm
 from conftest import synthetic_channel_dataset
@@ -146,3 +146,57 @@ def test_segment_path_matches_the_per_utterance_loop(small_handcrafted):
     assert np.array_equal(xs, np.concatenate(stacks))
     assert ys.tolist() == [DIALECTS.index(u.dialect)
                            for u, s in zip(train_utts, stacks) for _ in s]
+
+
+@pytest.fixture(scope="module")
+def trained_ca02(small_handcrafted):
+    data = small_handcrafted
+    config = experiments.ExperimentConfig(
+        train=cnn.TrainConfig(optimizer="minibatch_gd", batch_size=8, epochs=2,
+                              seed=0), arch_id="CA02", test_fraction=0.25)
+    train_idx, test_idx = experiments.stratified_holdout(data.labels, 0.25, 0)
+    report, model, aux = experiments.train_and_evaluate(
+        data, data.channel_ids, config, train_idx, test_idx)
+    return report, model, aux, [data.utterances[i] for i in test_idx]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, experiments.EVAL_CHUNK_SEGMENTS])
+def test_evaluation_runs_one_forward_per_chunk(trained_ca02, monkeypatch, chunk):
+    report, model, aux, test_utts = trained_ca02
+    norm, seg_s = aux["norm"], aux["segment_duration_s"]
+    counts = [len(experiments._segment_batch(u, norm, seg_s)) for u in test_utts]
+    ends = np.cumsum(counts)
+    if chunk == 3:  # some utterance's segments fall in two chunks
+        assert any((e - n) // chunk != (e - 1) // chunk for e, n in zip(ends, counts))
+
+    calls = []
+    forward_batch = cnn.forward_batch
+
+    def spy(model, x, *args, **kwargs):
+        calls.append(len(x))
+        return forward_batch(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "EVAL_CHUNK_SEGMENTS", chunk)
+    monkeypatch.setattr(cnn, "forward_batch", spy)
+    assert experiments._evaluate_prepared(model, test_utts, norm, seg_s) == report
+    assert len(calls) == -(-ends[-1] // chunk) and sum(calls) == ends[-1]
+    assert max(calls) <= chunk
+
+
+def test_saved_model_evaluates_as_the_per_utterance_loop(trained_ca02, small_corpus,
+                                                         tmp_path):
+    # the path that `lctid eval` runs: a model file and a manifest
+    _, model, aux, _ = trained_ca02
+    cnn.save(model, aux["norm"], tmp_path / "model.lct")
+    loaded, norm = cnn.load(tmp_path / "model.lct")
+    report = experiments.evaluate(loaded, norm, small_corpus)
+
+    seg_s = loaded.input_frames * dsp.HOP_MS / 1000.0
+    counts: dict = {}
+    for utt in experiments.prepare_dataset(small_corpus, norm.channel_ids).utterances:
+        acts = cnn.forward_batch(loaded, _decision_loop_stack(utt, norm, seg_s))
+        key = (utt.dialect, segmenter.aggregate(acts))
+        counts[key] = counts.get(key, 0) + 1
+    assert {decided for _, decided in counts} == set(DIALECTS)
+    assert report == experiments.report_from_confusion(counts)
+    assert report.total == len(small_corpus)
