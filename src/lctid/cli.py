@@ -11,6 +11,9 @@ argparse expands them in place and checks them as if typed, so in
 flag may be shortened.  ``--verbose`` is a flag of ``lctid`` itself: a
 file that holds it goes before the subcommand.  ``train`` writes
 ``model.lct``, which is all that ``eval`` needs, and ``results.json``.
+``train`` and ``ablate --method ife`` score a held-out split and take
+``--test-fraction``; ``ablate --method rfe`` cross-validates and takes
+``--folds``.  A split flag that the command does not read is a usage error.
 
 ``synth`` writes 16 kHz PCM16 WAVs.  Every command that extracts features
 decodes its WAVs at the canonical 16 kHz and fails on any other rate;
@@ -90,10 +93,13 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         learning_rate=args.lr, epochs=args.epochs,
         conv_dropout=args.conv_dropout, dense_dropout=args.dense_dropout,
         seed=args.seed, early_stop_patience=patience)
+    # a split flag the command lacks, or left unset, takes the default
+    split = {name: getattr(args, name) for name in ("test_fraction", "folds")
+             if getattr(args, name, None) is not None}
     return experiments.ExperimentConfig(
-        train=train_cfg, arch_id=args.arch, test_fraction=args.test_fraction,
+        train=train_cfg, arch_id=args.arch,
         split_seed=args.split_seed if args.split_seed is not None else args.seed,
-        folds=args.folds, val_fraction=args.val_fraction)
+        val_fraction=args.val_fraction, **split)
 
 
 def _load_balanced(args) -> CorpusManifest:
@@ -122,10 +128,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=int,
                    help="early-stop patience on validation loss (0 = off); "
                         "default: 5 with --val-fraction > 0, else 0")
-    p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--val-fraction", type=float, default=0.0)
     p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--folds", type=int, default=4)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and score a held-out split")
     p.add_argument("--features", default="handcrafted")
     _add_train_flags(p)
+    p.add_argument("--test-fraction", type=float, default=0.2)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a manifest")
@@ -355,13 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["rfe", "ife"])
     p.add_argument("--features", default="handcrafted")
     _add_train_flags(p)
+    p.add_argument("--test-fraction", type=float,
+                   help="ife only: held-out fraction (default 0.2)")
+    p.add_argument("--folds", type=int,
+                   help="rfe only: cross-validation folds (default 4)")
     p.set_defaults(func=cmd_ablate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "ablate":  # refuse the split flag the method ignores
+        unread = "test_fraction" if args.method == "rfe" else "folds"
+        if getattr(args, unread) is not None:
+            parser.error(f"ablate --method {args.method} does not read "
+                         f"--{unread.replace('_', '-')}")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

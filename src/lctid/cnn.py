@@ -32,6 +32,22 @@ gradient's array; `apply_update` checks both and writes nothing.  Only
 after every layer has passed does `train_step` write each layer's
 weights in place, W − lr·XᵀG as one BLAS call, and bind its new biases.
 A step that raises writes nothing.
+
+A Dense input of 2 to SGEMM_MIN_ROWS - 1 rows is multiplied as one gemv
+per row, not one sgemm.  OpenBLAS's sgemm packs the whole weight
+matrix however few rows it multiplies, so a 2-row product cost more
+than twice a 1-row one: on CA03's 2304×1024 dense0 (one BLAS thread,
+2-core Xeon, numpy 2.4.6, medians in ms)
+
+    rows            1     2     3     4     6     8    16
+    sgemm         0.50  1.82  2.04  1.51  2.09  2.08  2.54
+    gemv per row  0.54  0.98  1.22  2.00  2.89  3.74  7.54
+
+and 1024×512 dense1 crosses at the same row count (3 rows 0.33 against
+0.21 ms, 4 rows 0.28 against 0.28).  Per-utterance inference scores 1–3
+segments, so it takes the gemv path.  One row stays x @ W, which numpy
+already runs as gemv, so a batch-1 SGD step is untouched; a 2- or 3-row
+minibatch may round differently in the last bits than one sgemm would.
 """
 
 from __future__ import annotations
@@ -262,6 +278,9 @@ class Flatten:
         return grad.reshape(cache)
 
 
+SGEMM_MIN_ROWS = 4  # from here one sgemm; from 2 rows to here, one gemv per row
+
+
 class Dense:
     kind = "dense"
 
@@ -276,6 +295,12 @@ class Dense:
         return self.weights.size + self.biases.size
 
     def forward(self, x):
+        """x @ W + b.  2 to SGEMM_MIN_ROWS - 1 rows go as one gemv per
+        row: sgemm packs all of W for any row count, so on dense0 two rows
+        took 1.82 ms as one sgemm and 0.98 ms as two gemvs (table in the
+        module docstring).  One row stays x @ W, which numpy runs as gemv."""
+        if 1 < x.shape[0] < SGEMM_MIN_ROWS:
+            return (x[:, None, :] @ self.weights)[:, 0] + self.biases, x
         return x @ self.weights + self.biases, x
 
     def backward(self, grad, cache, grads_out):
@@ -453,14 +478,15 @@ def forward_batch(model: Model, x: np.ndarray,
 
 
 def _as_target_matrix(targets, batch: int) -> np.ndarray:
-    """One-hot rows of `batch` class indices."""
+    """One-hot rows of `batch` class indices; the comparison that builds
+    them is the check, as a row that equals no class index is all False."""
     t = np.asarray(targets)
-    if t.shape != (batch,) or not np.isin(t, range(NUM_CLASSES)).all():
-        raise ValueError(f"targets must be {batch} class indices "
-                         f"in [0, {NUM_CLASSES})")
-    onehot = np.zeros((batch, NUM_CLASSES))
-    onehot[np.arange(batch), t.astype(int)] = 1.0
-    return onehot
+    if t.shape == (batch,):
+        hot = t[:, None] == np.arange(NUM_CLASSES)
+        if hot.any(axis=1).all():
+            return hot.astype(np.float64)
+    raise ValueError(f"targets must be {batch} class indices "
+                     f"in [0, {NUM_CLASSES})")
 
 
 def cross_entropy(logits: np.ndarray, targets) -> tuple[float, np.ndarray]:

@@ -248,8 +248,10 @@ class ExperimentConfig:
                              f"got {self.val_fraction}")
 
 
-# Held-out segments per forward.  A batch of one or two segments streams all
-# of dense0's weights per utterance; a chunk shares them and caps the memory.
+# Held-out segments per forward.  From cnn.SGEMM_MIN_ROWS rows up a Dense
+# layer is one sgemm, which makes one pass over the weights for all rows: 16
+# rows of dense0 took 2.54 ms, against 7.54 ms as 16 gemvs.  The chunk caps
+# the memory.
 EVAL_CHUNK_SEGMENTS = 16
 
 

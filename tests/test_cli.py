@@ -225,7 +225,7 @@ def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, flags, message", [
     (["train"], ["--test-fraction", "0"],
      "holdout fraction must be in (0, 1), got 0.0"),
-    (["ablate", "--method", "rfe"], ["--test-fraction", "1"],
+    (["ablate", "--method", "ife"], ["--test-fraction", "1"],
      "holdout fraction must be in (0, 1), got 1.0"),
     (["ablate", "--method", "rfe"], ["--folds", "1"], "folds must be >= 2, got 1"),
     (["train"], ["--optimizer", "sgd", "--batch-size", "32"],
@@ -236,7 +236,7 @@ def test_ablate_results_count_the_evaluations(tmp_path, monkeypatch):
      "dense_dropout: dropout rate must be in [0, 1), got -0.5"),
     (["train"], ["--patience", "3"],
      "patience 3 needs a validation split; set --val-fraction > 0"),
-], ids=["train-test-fraction", "rfe-test-fraction", "rfe-folds", "sgd-batch",
+], ids=["train-test-fraction", "ife-test-fraction", "rfe-folds", "sgd-batch",
         "conv-dropout", "dense-dropout", "patience-without-val"])
 def test_run_settings_fail_before_the_manifest_is_read(tmp_path, capsys, command,
                                                        flags, message):
@@ -244,6 +244,24 @@ def test_run_settings_fail_before_the_manifest_is_read(tmp_path, capsys, command
                                "--out", str(tmp_path / "run")] + flags) == 1
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "manifest not found" not in err
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    (["train"], ["--folds", "3"], "unrecognized arguments: --folds 3"),
+    (["ablate", "--method", "ife"], ["--folds", "3"],
+     "ablate --method ife does not read --folds"),
+    (["ablate", "--method", "rfe"], ["--test-fraction", "0.3"],
+     "ablate --method rfe does not read --test-fraction"),
+], ids=["train-folds", "ife-folds", "rfe-test-fraction"])
+def test_split_flags_the_command_does_not_read_are_usage_errors(
+        tmp_path, capsys, command, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--manifest", str(tmp_path / "missing.tsv"),
+                            "--out", str(tmp_path / "run")] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "manifest not found" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("arch, optimizer, batch_size", [

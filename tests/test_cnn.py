@@ -169,6 +169,50 @@ class TestMaxPool:
             assert same_bits(w, w0) and same_bits(b, b0)
 
 
+def _dense(in_features, out_features, seed=0):
+    rng = np.random.default_rng(seed)
+    dense = cnn.Dense(in_features, out_features)
+    dense.weights = rng.standard_normal(dense.weights.shape, dtype=np.float32)
+    dense.biases = rng.standard_normal(out_features, dtype=np.float32)
+    return dense
+
+
+class TestDense:
+    # 2304 inputs, as CA03's dense0, so that sgemm and gemv sum in
+    # different orders and a wrong path shows in the bits
+    @pytest.mark.parametrize("rows", range(1, cnn.SGEMM_MIN_ROWS))
+    def test_few_rows_are_one_gemv_each(self, rows):
+        dense = _dense(2304, 64)
+        x = np.random.default_rng(rows).standard_normal((rows, 2304), dtype=np.float32)
+        out, cache = dense.forward(x)
+        want = np.stack([r @ dense.weights for r in x]) + dense.biases
+        assert same_bits(out, want) and cache is x
+
+    def test_one_row_is_the_matrix_product(self):
+        # a batch-1 SGD step: the gemv path gives the bits x @ W gives
+        dense = _dense(2304, 64)
+        x = np.random.default_rng(1).standard_normal((1, 2304), dtype=np.float32)
+        assert same_bits(dense.forward(x)[0], x @ dense.weights + dense.biases)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, cnn.SGEMM_MIN_ROWS + 2),
+           in_features=st.integers(1, 300), out_features=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_a_float64_reference(self, rows, in_features, out_features,
+                                         seed):
+        # on both sides of SGEMM_MIN_ROWS; a float32 dot product of n terms
+        # is within n * eps of the float64 one, relative to sum |x_i w_i|
+        dense = _dense(in_features, out_features, seed)
+        x = np.random.default_rng(seed + 1).standard_normal(
+            (rows, in_features), dtype=np.float32)
+        w, b = dense.weights.astype(np.float64), dense.biases.astype(np.float64)
+        got = dense.forward(x)[0]
+        assert got.shape == (rows, out_features) and got.dtype == np.float32
+        scale = np.abs(x.astype(np.float64)) @ np.abs(w) + np.abs(b)
+        eps = np.finfo(np.float32).eps
+        assert (np.abs(got - (x @ w + b)) <= (in_features + 1) * eps * scale).all()
+
+
 class TestBuild:
     def test_ca02_parameter_counts(self):
         model = cnn.build("CA02", 187, 10, seed=0)
