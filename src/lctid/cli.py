@@ -13,7 +13,8 @@ file that holds it goes before the subcommand.  ``train`` writes
 ``model.lct``, which is all that ``eval`` needs, and ``results.json``.
 ``train`` and ``ablate --method ife`` score a held-out split and take
 ``--test-fraction``; ``ablate --method rfe`` cross-validates and takes
-``--folds``.  A split flag that the command does not read is a usage error.
+``--folds``.  A split flag that the command does not read is a usage
+error, and its results file leaves that setting out.
 
 ``synth`` writes 16 kHz PCM16 WAVs.  Every command that extracts features
 decodes its WAVs at the canonical 16 kHz and fails on any other rate;
@@ -100,6 +101,12 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
         train=train_cfg, arch_id=args.arch,
         split_seed=args.split_seed if args.split_seed is not None else args.seed,
         val_fraction=args.val_fraction, **split)
+
+
+def _unread_split(args) -> str:
+    """The split setting the command does not read: rfe cross-validates over
+    folds, train and ife score a held-out test fraction."""
+    return "test_fraction" if getattr(args, "method", None) == "rfe" else "folds"
 
 
 def _load_balanced(args) -> CorpusManifest:
@@ -251,8 +258,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.lct"
     cnn.save(model, aux["norm"], model_path)
-    record = experiments.run_record(config, channels, [report], extra={
+    record = experiments.run_record(config, channels, _unread_split(args), {
         "command": "train",
+        "folds": [report.to_dict()],
+        "mean_accuracy": report.accuracy,
         "manifest": str(args.manifest),
         "balanced_hours": args.balanced,
         "segment_duration_s": aux["segment_duration_s"],
@@ -288,7 +297,7 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / f"ranking_{args.method}.csv")
     gmin, gmax, gmean = table.gap_stats()
-    record = experiments.run_record(config, channels, [], extra={
+    record = experiments.run_record(config, channels, _unread_split(args), {
         "command": f"ablate:{args.method}",
         "manifest": str(args.manifest),
         "ranking": [{"feature": r.feature_id, "accuracy": r.accuracy,
@@ -372,11 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "ablate":  # refuse the split flag the method ignores
-        unread = "test_fraction" if args.method == "rfe" else "folds"
-        if getattr(args, unread) is not None:
-            parser.error(f"ablate --method {args.method} does not read "
-                         f"--{unread.replace('_', '-')}")
+    unread = _unread_split(args)
+    if getattr(args, unread, None) is not None:  # only ablate has both flags
+        parser.error(f"ablate --method {args.method} does not read "
+                     f"--{unread.replace('_', '-')}")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")

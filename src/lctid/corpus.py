@@ -303,16 +303,16 @@ _CLASS_PARAMS = {
 _PULSE_WIDTH_S = 0.0015
 
 
-def _add_pulse(x: np.ndarray, t_s: float, amp: float, sample_rate_hz: int) -> None:
+def _add_pulse(x: np.ndarray, t_s: float, amp: float) -> None:
     # One sine cycle over [t, t + W], evaluated at exact sample times so the
     # pulse train carries sub-sample period accuracy (integer placement would
     # put a quantization floor under every jitter measurement).
     w = _PULSE_WIDTH_S
-    k0 = int(np.ceil(t_s * sample_rate_hz))
-    k1 = min(x.size - 1, int(np.floor((t_s + w) * sample_rate_hz)))
+    k0 = int(np.ceil(t_s * CANONICAL_RATE_HZ))
+    k1 = min(x.size - 1, int(np.floor((t_s + w) * CANONICAL_RATE_HZ)))
     if k1 < k0:
         return
-    tau = np.arange(k0, k1 + 1) / sample_rate_hz - t_s
+    tau = np.arange(k0, k1 + 1) / CANONICAL_RATE_HZ - t_s
     x[k0:k1 + 1] += amp * np.sin(2.0 * np.pi * tau / w)
 
 
@@ -320,8 +320,7 @@ def _synth_utterance(rng: np.random.Generator, dialect: str,
                      dur_s: float) -> np.ndarray:
     (fm_lo, fm_hi), fm_depth, (am_lo, am_hi), am_depth, jit, shim, silences = \
         _CLASS_PARAMS[dialect]
-    sr = CANONICAL_RATE_HZ
-    n = int(round(dur_s * sr))
+    n = int(round(dur_s * CANONICAL_RATE_HZ))
     x = np.zeros(n)
     f0_base = rng.uniform(230.0, 300.0)
     fm_rate = rng.uniform(fm_lo, fm_hi)
@@ -333,11 +332,11 @@ def _synth_utterance(rng: np.random.Generator, dialect: str,
         f_inst = f0_base * (1.0 + fm_depth * np.sin(2 * np.pi * fm_rate * t + phi_f))
         amp = 0.35 * (1.0 + am_depth * np.sin(2 * np.pi * am_rate * t + phi_a))
         amp *= 1.0 + shim * rng.uniform(-1.0, 1.0)
-        _add_pulse(x, t, amp, sr)
+        _add_pulse(x, t, amp)
         t += (1.0 / f_inst) * (1.0 + jit * rng.uniform(-1.0, 1.0))
     if silences:
         for _ in range(max(1, int(round(dur_s * 1.2)))):
-            gap = int(rng.uniform(0.05, 0.10) * sr)
+            gap = int(rng.uniform(0.05, 0.10) * CANONICAL_RATE_HZ)
             start = int(rng.uniform(0.1, 0.85) * n)
             x[start:start + gap] = 0.0
     x += 0.002 * rng.standard_normal(n)

@@ -1,13 +1,15 @@
 """Framing, windowing, magnitude spectra, and the Hz-to-Bark transform.
 
-Shared conventions for every feature extractor: 10 ms hop, Hamming window,
-FFT size = smallest power of two >= frame length, DC bin excluded from all
-spectral sums.
+Shared conventions for every feature extractor: 16 kHz (the one analysis
+rate, `corpus.CANONICAL_RATE_HZ`), 10 ms hop, Hamming window, FFT size =
+smallest power of two >= frame length, DC bin excluded from spectral sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .corpus import CANONICAL_RATE_HZ
 
 HOP_MS = 10.0
 
@@ -22,13 +24,12 @@ __all__ = [
 ]
 
 
-def samples_for_ms(ms: float, sample_rate_hz: int) -> int:
-    """Number of samples in `ms` milliseconds at the given rate."""
-    return int(round(ms * sample_rate_hz / 1000.0))
+def samples_for_ms(ms: float) -> int:
+    """Number of samples in `ms` milliseconds at `CANONICAL_RATE_HZ`."""
+    return int(round(ms * CANONICAL_RATE_HZ / 1000.0))
 
 
-def frame_signal(samples: np.ndarray, sample_rate_hz: int,
-                 frame_ms: float) -> np.ndarray:
+def frame_signal(samples: np.ndarray, frame_ms: float) -> np.ndarray:
     """Slice a signal into overlapping frames on the `HOP_MS` grid (no window).
 
     Returns the (num_frames, frame_len) array whose row i is exactly the
@@ -36,8 +37,8 @@ def frame_signal(samples: np.ndarray, sample_rate_hz: int,
     signal is shorter than one frame.
     """
     x = np.ascontiguousarray(samples, dtype=np.float64)
-    frame_len = samples_for_ms(frame_ms, sample_rate_hz)
-    hop = samples_for_ms(HOP_MS, sample_rate_hz)
+    frame_len = samples_for_ms(frame_ms)
+    hop = samples_for_ms(HOP_MS)
     if x.ndim != 1:
         raise ValueError("expected a mono signal")
     if x.size < frame_len:
@@ -56,25 +57,23 @@ def default_fft_size(frame_len: int) -> int:
     return k
 
 
-def magnitude_spectra(frames: np.ndarray, fft_size: int) -> np.ndarray:
-    """Magnitude spectra of a stack of frames: (n, frame_len) -> (n, fft_size//2).
+def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
+    """Magnitude spectra of a stack of frames: (n, frame_len) -> (n, K/2)
+    with K = default_fft_size(frame_len).
 
-    Hamming window, then zero-pad to fft_size; returns bins 1..K/2, whose
-    centre frequencies are `bin_frequencies(fft_size, sample_rate_hz)`.
+    Hamming window, then zero-pad to K; returns bins 1..K/2, whose centre
+    frequencies are `bin_frequencies(K)`.
     """
     frames = np.atleast_2d(frames)
-    frame_len = frames.shape[1]
-    if fft_size < frame_len:
-        raise ValueError(f"fft_size {fft_size} < frame length {frame_len}")
-    if fft_size & (fft_size - 1):
-        raise ValueError(f"fft_size {fft_size} is not a power of two")
-    windowed = frames * np.hamming(frame_len)
+    fft_size = default_fft_size(frames.shape[1])
+    windowed = frames * np.hamming(frames.shape[1])
     return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))[:, 1:fft_size // 2 + 1]
 
 
-def bin_frequencies(fft_size: int, sample_rate_hz: int) -> np.ndarray:
-    """Centre frequency (Hz) of bins 1..K/2, the columns of magnitude_spectra."""
-    return np.arange(1, fft_size // 2 + 1) * (sample_rate_hz / fft_size)
+def bin_frequencies(fft_size: int) -> np.ndarray:
+    """Centre frequency (Hz at `CANONICAL_RATE_HZ`) of bins 1..K/2, the
+    columns of magnitude_spectra."""
+    return np.arange(1, fft_size // 2 + 1) * (CANONICAL_RATE_HZ / fft_size)
 
 
 # Traunmueller closed form, clamped at zero so that 0 Hz maps to 0 Bark

@@ -406,16 +406,12 @@ def ife(features: Iterable[str], dataset: Dataset,
 # Audit trail
 
 def run_record(config: ExperimentConfig, featureset: Sequence[str],
-               fold_reports: Sequence[EvalReport], extra: dict | None = None) -> dict:
-    payload = {
-        "config": asdict(config),
-        "featureset": list(featureset),
-        "folds": [r.to_dict() for r in fold_reports],
-        "mean_accuracy": (float(np.mean([r.accuracy for r in fold_reports]))
-                          if fold_reports else 0.0),
-    }
-    if extra:
-        payload.update(extra)
+               unread: str, extra: dict) -> dict:
+    """A run's settings less `unread`, the split setting that it did not
+    read, its feature set and `extra`, under a run id hashed from them all."""
+    settings = asdict(config)
+    del settings[unread]
+    payload = {"config": settings, "featureset": list(featureset), **extra}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
     payload["run_id"] = digest[:12]

@@ -12,13 +12,12 @@ voice-quality kernels run once per utterance over the stack of its voiced
 amplitude rows of `pitch.track_periods` (0 for a frame with too few
 periods), and HNR reads the autocorrelation of every row near its pitch
 lag from one FFT.  The analysis settings (SHS in `pitch`, MFCC here) are
-module constants, so `extract_matrix` takes a waveform and a channel set
-and nothing else.
+module constants and the rate is `corpus.CANONICAL_RATE_HZ`, so
+`extract_matrix` takes a waveform and a channel set and nothing else.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,9 +25,7 @@ import numpy as np
 from scipy.fft import dct, next_fast_len
 
 from . import dsp, pitch
-from .corpus import Waveform
-
-logger = logging.getLogger(__name__)
+from .corpus import CANONICAL_RATE_HZ, Waveform
 
 PROSODIC_IDS = ("F0", "ENERGY", "VPROB")
 VOICE_QUALITY_IDS = ("JITTER", "DJITTER", "SHIMMER", "HNR")
@@ -114,16 +111,16 @@ class NormStats:
 
 # ---------------------------------------------------------------------------
 # Row kernels: one value per frame of an (n, frame_len) frame stack or an
-# (n, fft_size//2) stack of magnitude spectra
+# stack of magnitude spectra from `dsp.magnitude_spectra`
 
 def energy_rows(frames: np.ndarray) -> np.ndarray:
     """Sum of squared amplitudes of each frame."""
     return np.einsum("ij,ij->i", frames, frames)
 
 
-def zcr_rows(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
-    """Sign changes per second of each frame; a zero sample defers to its
-    neighbours."""
+def zcr_rows(frames: np.ndarray) -> np.ndarray:
+    """Sign changes per second (at `CANONICAL_RATE_HZ`) of each frame; a
+    zero sample defers to its neighbours."""
     nonzero = frames[:, 1:] != 0.0
     direct = (frames[:, :-1] * frames[:, 1:] < 0.0) & nonzero
     counts = direct.sum(axis=1)
@@ -131,13 +128,13 @@ def zcr_rows(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
         mid_zero = frames[:, 1:-1] == 0.0
         skipped = (frames[:, :-2] * frames[:, 2:] < 0.0) & mid_zero
         counts = counts + skipped.sum(axis=1)
-    return counts / (frames.shape[1] / sample_rate_hz)
+    return counts / (frames.shape[1] / CANONICAL_RATE_HZ)
 
 
-def sharpness_rows(mags: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+def sharpness_rows(mags: np.ndarray) -> np.ndarray:
     """Spectral centroid on the Bark scale (perceived sharpness) of each
-    spectrum; 0 for a silent one."""
-    barks = dsp.hz_to_bark(dsp.bin_frequencies(2 * mags.shape[1], sample_rate_hz))
+    spectrum, its bins at `CANONICAL_RATE_HZ`; 0 for a silent one."""
+    barks = dsp.hz_to_bark(dsp.bin_frequencies(2 * mags.shape[1]))
     totals = mags.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = (mags @ barks) / totals
@@ -208,9 +205,9 @@ def shimmer(p: pitch.PeriodSequence) -> np.ndarray:
 _HNR_CLAMP = (1e-4, 1e4)
 
 
-def hnr(frames: np.ndarray, f0s: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+def hnr(frames: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     """log10 harmonic-to-noise energy ratio of each row via normalized
-    autocorrelation.
+    autocorrelation, each row at its own f0 (Hz at `CANONICAL_RATE_HZ`).
 
     r at the pitch lag estimates harmonic_energy / total_energy, so the
     ratio r / (1 - r) is harmonic over noise energy; it is clamped to
@@ -235,7 +232,7 @@ def hnr(frames: np.ndarray, f0s: np.ndarray, sample_rate_hz: int) -> np.ndarray:
     squares = x * x
     head = np.cumsum(squares, axis=1)            # head[:, k] = |x[:k+1]|²
     tail = np.cumsum(squares[:, ::-1], axis=1)   # tail[:, k] = |x[-k-1:]|²
-    lag = np.round(sample_rate_hz / f0).astype(np.intp)
+    lag = np.round(CANONICAL_RATE_HZ / f0).astype(np.intp)
     halo = np.maximum(1, np.round(0.04 * lag).astype(np.intp))
     best = np.full(n, -1.0)
     reach = int(halo.max(initial=0))
@@ -259,43 +256,42 @@ MEL_FILTERS = 26     # triangles from 0 Hz to Nyquist
 PRE_EMPHASIS = 0.97
 LOG_FLOOR = 1e-10    # floor on each filter energy before the log
 
-_mel_cache: dict[tuple, np.ndarray] = {}
+_mel_cache: dict[int, np.ndarray] = {}
 
 
 def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_filterbank(fft_size: int, sample_rate_hz: int) -> np.ndarray:
-    """(MEL_FILTERS, fft_size//2) triangular weights over bins 1..K/2.
+def mel_filterbank(fft_size: int) -> np.ndarray:
+    """(MEL_FILTERS, fft_size//2) triangular weights over bins 1..K/2, from
+    0 Hz to the Nyquist frequency of `CANONICAL_RATE_HZ`.
 
     Triangles are linear in mel, so interior bins between the first and
     last filter centre see weights summing to exactly 1.
     """
-    key = (fft_size, sample_rate_hz)
-    if key in _mel_cache:
-        return _mel_cache[key]
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(sample_rate_hz / 2.0),
+    if fft_size in _mel_cache:
+        return _mel_cache[fft_size]
+    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(CANONICAL_RATE_HZ / 2.0),
                           MEL_FILTERS + 2)
-    bin_mels = _hz_to_mel(dsp.bin_frequencies(fft_size, sample_rate_hz))
+    bin_mels = _hz_to_mel(dsp.bin_frequencies(fft_size))
     bank = np.zeros((MEL_FILTERS, fft_size // 2))
     for m in range(MEL_FILTERS):
         lo, mid, hi = mel_pts[m], mel_pts[m + 1], mel_pts[m + 2]
         up = (bin_mels - lo) / (mid - lo)
         down = (hi - bin_mels) / (hi - mid)
         bank[m] = np.clip(np.minimum(up, down), 0.0, 1.0)
-    _mel_cache[key] = bank
+    _mel_cache[fft_size] = bank
     return bank
 
 
-def mfcc_rows(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+def mfcc_rows(frames: np.ndarray) -> np.ndarray:
     """Mel-frequency cepstral coefficients of each frame: (n, frame_len) ->
     (n, len(MFCC_IDS))."""
     emphasized = np.concatenate(
         [frames[:, :1], frames[:, 1:] - PRE_EMPHASIS * frames[:, :-1]], axis=1)
-    fft_size = dsp.default_fft_size(frames.shape[1])
-    mags = dsp.magnitude_spectra(emphasized, fft_size)
-    bank = mel_filterbank(fft_size, sample_rate_hz)
+    mags = dsp.magnitude_spectra(emphasized)
+    bank = mel_filterbank(2 * mags.shape[1])
     energies = mags ** 2 @ bank.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
     return dct(logs, type=2, norm="ortho", axis=1)[:, :len(MFCC_IDS)]
@@ -313,47 +309,47 @@ def extract_matrix(waveform: Waveform,
     common 10 ms hop.  Every channel set gets the frame count of the 60 ms
     series, floor((N - 60 ms) / 10 ms) + 1, and the 20 ms series is cut to
     it, so frame i of any channel starts at sample i * hop and a row does
-    not depend on which other channels were asked for.
+    not depend on which other channels were asked for.  Raises ValueError
+    for a waveform at any rate but `CANONICAL_RATE_HZ`.
     """
     channels = resolve_featureset(featureset)
-    sr = waveform.sample_rate_hz
+    if waveform.sample_rate_hz != CANONICAL_RATE_HZ:
+        raise ValueError(f"sample rate {waveform.sample_rate_hz} Hz; features "
+                         f"are computed at {CANONICAL_RATE_HZ} Hz")
     x = np.asarray(waveform.samples, dtype=np.float64)
-    if x.size < dsp.samples_for_ms(MIN_WAVEFORM_MS, sr):
-        raise ValueError(
-            f"waveform too short: {x.size / sr * 1000.0:.1f} ms < {MIN_WAVEFORM_MS:g} ms")
+    if x.size < dsp.samples_for_ms(MIN_WAVEFORM_MS):
+        raise ValueError(f"waveform too short: {x.size / CANONICAL_RATE_HZ * 1000.0:.1f}"
+                         f" ms < {MIN_WAVEFORM_MS:g} ms")
 
     wanted = set(channels)
     vq = wanted & set(VOICE_QUALITY_IDS)
     need_pitch = bool(wanted & {"F0", "VPROB"} or vq)
-    num_frames = ((x.size - dsp.samples_for_ms(PROSODIC_FRAME_MS, sr))
-                  // dsp.samples_for_ms(dsp.HOP_MS, sr) + 1)
+    num_frames = ((x.size - dsp.samples_for_ms(PROSODIC_FRAME_MS))
+                  // dsp.samples_for_ms(dsp.HOP_MS) + 1)
     if need_pitch or "ENERGY" in wanted:
-        frames60 = dsp.frame_signal(x, sr, PROSODIC_FRAME_MS)
+        frames60 = dsp.frame_signal(x, PROSODIC_FRAME_MS)
     if wanted - set(PROSODIC_IDS):
-        frames20 = dsp.frame_signal(x, sr, OTHER_FRAME_MS)[:num_frames]
+        frames20 = dsp.frame_signal(x, OTHER_FRAME_MS)[:num_frames]
 
     rows = {}
     if need_pitch:
-        k60 = dsp.default_fft_size(frames60.shape[1])
-        f0s, vprobs = pitch.shs_batch(dsp.magnitude_spectra(frames60, k60),
-                                      k60, sr / k60)
+        f0s, vprobs = pitch.shs_batch(dsp.magnitude_spectra(frames60))
         f0s = np.where(vprobs >= pitch.VOICING_THRESHOLD, f0s, 0.0)
         rows["F0"], rows["VPROB"] = f0s, vprobs
     if "ENERGY" in wanted:
         rows["ENERGY"] = energy_rows(frames60)
     if vq:
-        rows.update(_voice_quality_rows(frames20, f0s, sr, vq))
+        rows.update(_voice_quality_rows(frames20, f0s, vq))
     if wanted & {"SFLUX", "SHARP"}:
-        mags20 = dsp.magnitude_spectra(frames20,
-                                       dsp.default_fft_size(frames20.shape[1]))
+        mags20 = dsp.magnitude_spectra(frames20)
         if "SFLUX" in wanted:
             rows["SFLUX"] = flux_rows(mags20)
         if "SHARP" in wanted:
-            rows["SHARP"] = sharpness_rows(mags20, sr)
+            rows["SHARP"] = sharpness_rows(mags20)
     if "ZCR" in wanted:
-        rows["ZCR"] = zcr_rows(frames20, sr)
+        rows["ZCR"] = zcr_rows(frames20)
     if wanted & set(MFCC_IDS):
-        rows.update(zip(MFCC_IDS, mfcc_rows(frames20, sr).T))
+        rows.update(zip(MFCC_IDS, mfcc_rows(frames20).T))
 
     values = np.vstack([rows[c] for c in channels])
     if not np.all(np.isfinite(values)):
@@ -361,7 +357,7 @@ def extract_matrix(waveform: Waveform,
     return FeatureMatrix(values=values, channel_ids=channels)
 
 
-def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray, sr: int,
+def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray,
                         wanted: set) -> dict[str, np.ndarray]:
     """The wanted voice-quality channels: each kernel runs once over the
     stack of voiced frames, and unvoiced frames keep 0."""
@@ -372,11 +368,11 @@ def _voice_quality_rows(frames20: np.ndarray, f0s: np.ndarray, sr: int,
     period_stats = {"JITTER": jitter, "DJITTER": jitter_derivative,
                     "SHIMMER": shimmer}
     if wanted & period_stats.keys():
-        seq = pitch.track_periods(frames, f0, sr)
+        seq = pitch.track_periods(frames, f0)
     out = {}
     for c in wanted:
         out[c] = np.zeros(f0s.shape[0])
-        out[c][voiced] = hnr(frames, f0, sr) if c == "HNR" else period_stats[c](seq)
+        out[c][voiced] = hnr(frames, f0) if c == "HNR" else period_stats[c](seq)
     return out
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import CANONICAL_RATE_HZ
+
 __all__ = [
     "VOICING_THRESHOLD",
     "PeriodSequence",
@@ -44,8 +46,8 @@ class PeriodSequence:
     """Successive pitch periods and the peak-to-peak amplitude of each cycle,
     one row per frame.
 
-    Row i holds `counts[i]` periods (s) and amplitudes; the entries after
-    them are 0.
+    Row i holds `counts[i]` periods (s at `CANONICAL_RATE_HZ`) and
+    amplitudes; the entries after them are 0.
     """
 
     periods_s: np.ndarray  # (n, width)
@@ -58,10 +60,11 @@ class UnvoicedFrameError(ValueError):
 
 
 class _ShsKernel:
-    """Precomputed grid and interpolation weights for one spectrum geometry."""
+    """Precomputed grid and interpolation weights for spectra of `nbins`
+    columns at `CANONICAL_RATE_HZ`."""
 
-    def __init__(self, fft_size: int, bin_hz: float):
-        nbins = fft_size // 2
+    def __init__(self, nbins: int):
+        bin_hz = CANONICAL_RATE_HZ / (2 * nbins)
         n_oct = np.log2(F_MAX_HZ / F_MIN_HZ)
         grid_n = int(np.ceil(n_oct * POINTS_PER_OCTAVE)) + 1
         self.log_step = n_oct / (grid_n - 1)
@@ -82,23 +85,37 @@ class _ShsKernel:
         self.flat_response = weights.sum(axis=1)
 
 
-_kernel_cache: dict[tuple, _ShsKernel] = {}
+_kernel_cache: dict[int, _ShsKernel] = {}
 
 
 def _arctan_weight(f: np.ndarray) -> np.ndarray:
     return np.clip(0.5 + np.arctan(3.0 * np.log2(f / ROLLOFF_HZ)) / np.pi, 0.0, 1.0)
 
 
-def _kernel(fft_size: int, bin_hz: float) -> _ShsKernel:
-    key = (fft_size, round(bin_hz, 9))
-    if key not in _kernel_cache:
-        _kernel_cache[key] = _ShsKernel(fft_size, bin_hz)
-    return _kernel_cache[key]
+def _kernel(nbins: int) -> _ShsKernel:
+    if nbins not in _kernel_cache:
+        _kernel_cache[nbins] = _ShsKernel(nbins)
+    return _kernel_cache[nbins]
 
 
-def shs_batch(magnitudes: np.ndarray, fft_size: int,
-              bin_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """f0 and voicing probability for a stack of spectra (n, fft_size//2).
+def _vertex_offset(values: np.ndarray, rows: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """Offset from idx of the vertex of the parabola through values[rows,
+    idx - 1], values[rows, idx] and values[rows, idx + 1], clipped to
+    [-0.5, 0.5]; 0 at either end of a row or on a flat top."""
+    last = values.shape[1] - 1
+    left = values[rows, np.maximum(idx - 1, 0)]
+    mid = values[rows, idx]
+    right = values[rows, np.minimum(idx + 1, last)]
+    denom = left - 2.0 * mid + right
+    bend = (idx > 0) & (idx < last) & (denom != 0.0)
+    d = np.divide(0.5 * (left - right), denom, out=np.zeros(idx.shape), where=bend)
+    return np.clip(d, -0.5, 0.5)
+
+
+def shs_batch(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f0 (Hz at `CANONICAL_RATE_HZ`) and voicing probability for a stack
+    of spectra from `dsp.magnitude_spectra`.
 
     The f0 of a row is the argmax of its subharmonic sum, moved by the
     vertex of the parabola through the argmax and its two neighbours (at
@@ -108,39 +125,31 @@ def shs_batch(magnitudes: np.ndarray, fft_size: int,
     Returns (f0_hz, voicing_prob) arrays of length n; degenerate
     (all-zero) rows get 0 in both.
     """
-    kernel = _kernel(fft_size, bin_hz)
-    s = np.atleast_2d(magnitudes) @ kernel.weights.T  # (n, grid)
-    n, grid = s.shape
-    rows = np.arange(n)
+    magnitudes = np.atleast_2d(magnitudes)
+    kernel = _kernel(magnitudes.shape[1])
+    s = magnitudes @ kernel.weights.T  # (n, grid)
+    rows = np.arange(s.shape[0])
     idx = np.argmax(s, axis=1)
-    peak = s[rows, idx]
-    live = peak > 0.0
-
-    left = s[rows, np.maximum(idx - 1, 0)]
-    right = s[rows, np.minimum(idx + 1, grid - 1)]
-    denom = left - 2.0 * peak + right
-    bend = (idx > 0) & (idx < grid - 1) & (denom != 0.0)
-    d = np.divide(0.5 * (left - right), denom, out=np.zeros(n), where=bend)
-    f0 = kernel.grid_hz[idx] * 2.0 ** (np.clip(d, -0.5, 0.5) * kernel.log_step)
+    live = s[rows, idx] > 0.0
+    f0 = kernel.grid_hz[idx] * 2.0 ** (_vertex_offset(s, rows, idx) * kernel.log_step)
 
     s_eq = s / kernel.flat_response
-    ratio = np.divide(s_eq.mean(axis=1), s_eq[rows, idx], out=np.ones(n),
+    ratio = np.divide(s_eq.mean(axis=1), s_eq[rows, idx], out=np.ones(rows.size),
                       where=live)
     return np.where(live, f0, 0.0), np.clip(1.0 - ratio, 0.0, 1.0)
 
 
-def track_periods(frames: np.ndarray, f0s: np.ndarray,
-                  sample_rate_hz: int) -> PeriodSequence:
+def track_periods(frames: np.ndarray, f0s: np.ndarray) -> PeriodSequence:
     """Glottal-cycle periods and amplitudes of every row of a frame stack.
 
-    Row i is searched at its own f0 = f0s[i].  Its first mark is the
-    argmax of its first 1.25 periods; each next mark is the first argmax
-    within +-SEARCH_FRAC of a period around the last mark plus one period,
-    and the search stops at the first window that would reach past the
-    frame.  All rows step in lockstep, so the loop runs once per mark, not
+    Row i is searched at its own f0 = f0s[i] (Hz at `CANONICAL_RATE_HZ`).  Its
+    first mark is the argmax of its first 1.25 periods; each next mark is the
+    first argmax within +-SEARCH_FRAC of a period around the last mark plus
+    one period, and the search stops at the first window that would reach past
+    the frame.  All rows step in lockstep, so the loop runs once per mark, not
     once per frame.  Periods are the successive mark differences after a
-    sub-sample parabolic refinement of each mark (integer marks would put
-    a ~1/period jitter floor on every measurement); a cycle's amplitude is
+    sub-sample parabolic refinement of each mark (integer marks would put a
+    ~1/period jitter floor on every measurement); a cycle's amplitude is
     max - min of the samples from its first mark to its last.
 
     Row i gets `counts[i]` periods, which may be fewer than the 3 that the
@@ -153,7 +162,7 @@ def track_periods(frames: np.ndarray, f0s: np.ndarray,
         raise UnvoicedFrameError("unvoiced frame (f0 = 0)")
     n, size = x.shape
     rows = np.arange(n)[:, None]
-    period = sample_rate_hz / f0
+    period = CANONICAL_RATE_HZ / f0
     first_end = np.minimum(size, np.ceil(1.25 * period).astype(np.intp))
     head = np.where(np.arange(size) < first_end[:, None], x, -np.inf)
     coarse = [head.argmax(axis=1)]
@@ -182,16 +191,9 @@ def track_periods(frames: np.ndarray, f0s: np.ndarray,
         counts += live
     coarse = np.stack(coarse, axis=1)
 
-    left = x[rows, np.maximum(coarse - 1, 0)]
-    mid = x[rows, coarse]
-    right = x[rows, np.minimum(coarse + 1, size - 1)]
-    denom = left - 2.0 * mid + right
-    bend = (coarse > 0) & (coarse < size - 1) & (denom != 0.0)
-    offset = np.divide(0.5 * (left - right), denom,
-                       out=np.zeros(coarse.shape), where=bend)
-    marks = coarse + np.clip(offset, -0.5, 0.5)
+    marks = coarse + _vertex_offset(x, rows, coarse)
     valid = np.arange(coarse.shape[1] - 1) < counts[:, None]
-    periods_s = np.where(valid, np.diff(marks, axis=1) / sample_rate_hz, 0.0)
+    periods_s = np.where(valid, np.diff(marks, axis=1) / CANONICAL_RATE_HZ, 0.0)
     peak_amps = np.where(valid, np.reshape(amps, (len(amps), n)).T, 0.0)
     return PeriodSequence(periods_s=periods_s, peak_amps=peak_amps,
                           counts=counts)

@@ -302,3 +302,25 @@ def test_ablate_rfe_writes_one_row_per_feature(tmp_path, monkeypatch):
     record = json.loads(Path("run/results_rfe.json").read_text())
     assert record["command"] == "ablate:rfe"
     assert record["evaluations"] == len(record["ranking"]) == len(rows) == 2
+
+
+@pytest.mark.parametrize("command, flags, results, read, unread", [
+    (["train"], [], "results.json", "test_fraction", "folds"),
+    (["ablate", "--method", "ife"], [], "results_ife.json", "test_fraction", "folds"),
+    (["ablate", "--method", "rfe"], ["--folds", "2"], "results_rfe.json", "folds",
+     "test_fraction"),
+], ids=["train", "ife", "rfe"])
+def test_results_record_only_the_settings_the_run_read(tmp_path, monkeypatch, command,
+                                                       flags, results, read, unread):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(command + ["--manifest", "corp/manifest.tsv", "--features", "F0,ZCR",
+                               "--arch", "CA02", "--epochs", "1", "--out", "run"]
+                    + flags) == 0
+    record = json.loads((Path("run") / results).read_text())
+    assert set(record["config"]) == {"train", "arch_id", "split_seed",
+                                     "val_fraction", read}
+    assert unread not in record["config"]
+    # an ablation's accuracies are in its ranking; it has no fold reports
+    held_out = command == ["train"]
+    assert ("folds" in record, "mean_accuracy" in record) == (held_out, held_out)

@@ -17,10 +17,10 @@ def direct_dft_magnitudes(x, fft_size):
 
 
 class TestFraming:
-    HOP = dsp.samples_for_ms(dsp.HOP_MS, SR)
+    HOP = dsp.samples_for_ms(dsp.HOP_MS)
 
     def test_one_second_20ms(self):
-        frames = dsp.frame_signal(np.zeros(SR), SR, 20.0)
+        frames = dsp.frame_signal(np.zeros(SR), 20.0)
         assert isinstance(frames, np.ndarray)
         assert frames.shape == (99, 320)
 
@@ -28,26 +28,26 @@ class TestFraming:
         # 1.87 s yields 186 raw 20 ms frames; the 187-frame segment grid is
         # reached downstream by padding.
         n = int(1.87 * SR)
-        assert dsp.frame_signal(np.zeros(n), SR, 20.0).shape == (186, 320)
+        assert dsp.frame_signal(np.zeros(n), 20.0).shape == (186, 320)
 
     @pytest.mark.parametrize("frame_ms", [20.0, 60.0])
     def test_shape_law(self, frame_ms):
         # every frame that fits on the hop grid, and no more
-        flen = dsp.samples_for_ms(frame_ms, SR)
+        flen = dsp.samples_for_ms(frame_ms)
         for n in (flen, flen + 1, flen + self.HOP - 1, flen + self.HOP, 23456):
-            frames = dsp.frame_signal(np.zeros(n), SR, frame_ms)
+            frames = dsp.frame_signal(np.zeros(n), frame_ms)
             count = (n - flen) // self.HOP + 1
             assert frames.shape == (count, flen)
             assert (count - 1) * self.HOP + flen <= n < count * self.HOP + flen
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            dsp.frame_signal(np.zeros(100), SR, 20.0)
+            dsp.frame_signal(np.zeros(100), 20.0)
 
     def test_frame_content_is_exact_slice(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(SR)
-        frames = dsp.frame_signal(x, SR, 20.0)
+        frames = dsp.frame_signal(x, 20.0)
         flen = frames.shape[1]
         for i in (0, 1, 17, len(frames) - 1):
             assert np.array_equal(frames[i], x[i * self.HOP:i * self.HOP + flen])
@@ -55,11 +55,14 @@ class TestFraming:
     def test_60ms_uses_1024_fft(self):
         assert dsp.default_fft_size(960) == 1024
         assert dsp.default_fft_size(320) == 512
+        # each spectrum takes its FFT size from its frame length
+        assert dsp.magnitude_spectra(np.zeros((2, 960))).shape == (2, 512)
+        assert dsp.magnitude_spectra(np.zeros((2, 320))).shape == (2, 256)
 
 
 class TestMagnitudeSpectrum:
     def test_zero_frame(self):
-        mags = dsp.magnitude_spectra(np.zeros((1, 320)), 512)
+        mags = dsp.magnitude_spectra(np.zeros((1, 320)))
         assert mags.shape == (1, 256)
         assert np.all(mags == 0.0)
 
@@ -67,10 +70,10 @@ class TestMagnitudeSpectrum:
         m = 40
         f = m * SR / 512
         t = np.arange(320) / SR
-        mags = dsp.magnitude_spectra(np.sin(2 * np.pi * f * t)[None, :], 512)
+        mags = dsp.magnitude_spectra(np.sin(2 * np.pi * f * t)[None, :])
         # stored index m-1 corresponds to bin m (DC excluded)
         assert int(np.argmax(mags[0])) == m - 1
-        assert dsp.bin_frequencies(512, SR)[m - 1] == pytest.approx(f)
+        assert dsp.bin_frequencies(512)[m - 1] == pytest.approx(f)
 
     def test_parseval_against_direct_dft(self):
         rng = np.random.default_rng(1)
@@ -85,7 +88,7 @@ class TestMagnitudeSpectrum:
     def test_windowing_precedes_zero_padding(self):
         rng = np.random.default_rng(2)
         xs = rng.standard_normal((5, 320))
-        mags = dsp.magnitude_spectra(xs, 512)
+        mags = dsp.magnitude_spectra(xs)
         oracle = np.stack([direct_dft_magnitudes(x * np.hamming(320), 512)[1:257]
                            for x in xs])
         assert np.abs(mags - oracle).max() < 1e-9
@@ -93,17 +96,9 @@ class TestMagnitudeSpectrum:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 320))
-        a = dsp.magnitude_spectra(x, 512)
-        b = dsp.magnitude_spectra(2.0 * x, 512)
+        a = dsp.magnitude_spectra(x)
+        b = dsp.magnitude_spectra(2.0 * x)
         assert np.allclose(b, 2.0 * a, rtol=1e-12)
-
-    def test_fft_too_small(self):
-        with pytest.raises(ValueError):
-            dsp.magnitude_spectra(np.zeros((1, 320)), 256)
-
-    def test_fft_not_power_of_two(self):
-        with pytest.raises(ValueError):
-            dsp.magnitude_spectra(np.zeros((1, 320)), 500)
 
 
 class TestBark:

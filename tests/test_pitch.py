@@ -8,8 +8,8 @@ from conftest import SR, harmonic_tone
 
 def shs_60ms(frames):
     """f0 and voicing of a stack of 60 ms frames, as extract_matrix runs it."""
-    mags = dsp.magnitude_spectra(np.atleast_2d(frames), 1024)
-    return pitch.shs_batch(mags, 1024, SR / 1024)
+    mags = dsp.magnitude_spectra(np.atleast_2d(frames))
+    return pitch.shs_batch(mags)
 
 
 def autocorr_f0(x, f_min=60.0, f_max=400.0):
@@ -52,8 +52,8 @@ class TestShsEstimate:
         mags = scale * rng.uniform(0.0, 1.0, (n, 512))
         mags[rng.uniform(0.0, 1.0, (n, 512)) >= density] = 0.0
         mags[np.array(zero_rows)] = 0.0
-        f0, vprob = pitch.shs_batch(mags, 1024, SR / 1024)
-        kernel = pitch._kernel(1024, SR / 1024)
+        f0, vprob = pitch.shs_batch(mags)
+        kernel = pitch._kernel(512)
         for r in range(n):
             s = kernel.weights @ mags[r]
             if not s.max() > 0.0:
@@ -75,8 +75,7 @@ class TestShsEstimate:
                 assert step == 0.0
             # alone, the row reads the same; not bit for bit, since BLAS may
             # sum a lone row in another order than a stack
-            (f0_alone,), (vprob_alone,) = pitch.shs_batch(mags[r:r + 1], 1024,
-                                                          SR / 1024)
+            (f0_alone,), (vprob_alone,) = pitch.shs_batch(mags[r:r + 1])
             assert f0_alone == pytest.approx(f0[r], rel=1e-9)
             assert vprob_alone == pytest.approx(vprob[r], abs=1e-12)
 
@@ -86,7 +85,7 @@ class TestShsEstimate:
         # a bump at 94-125 Hz lifts the equalised mean above the equalised
         # peak, which stays at the 400 Hz end: 1 - mean/peak < 0 is clamped
         spectra[1, 5:8] += 1.0
-        _, vps = pitch.shs_batch(spectra, 1024, SR / 1024)
+        _, vps = pitch.shs_batch(spectra)
         assert vps[0] == pytest.approx(0.0, abs=1e-12)
         assert vps[1] == 0.0
 
@@ -115,7 +114,7 @@ class TestShsEstimate:
 
 
 def one_row_periods(x, f0):
-    return pitch.track_periods(np.asarray(x)[None], np.array([f0]), SR)
+    return pitch.track_periods(np.asarray(x)[None], np.array([f0]))
 
 
 class TestTrackPeriods:
@@ -140,7 +139,7 @@ class TestTrackPeriods:
 
     def test_unvoiced_errors(self):
         with pytest.raises(pitch.UnvoicedFrameError, match="unvoiced"):
-            pitch.track_periods(np.ones((1, 960)), np.array([0.0]), SR)
+            pitch.track_periods(np.ones((1, 960)), np.array([0.0]))
 
     def test_too_few_periods(self):
         x = np.zeros(400)

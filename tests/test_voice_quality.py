@@ -61,9 +61,9 @@ def make_row(kind, f0, seed, frame_len, k):
 
 
 def assert_rows_match_oracle(frames, f0s):
-    seq = pitch.track_periods(frames, f0s, SR)
+    seq = pitch.track_periods(frames, f0s)
     jit, djit = features.jitter(seq), features.jitter_derivative(seq)
-    shim, hnr = features.shimmer(seq), features.hnr(frames, f0s, SR)
+    shim, hnr = features.shimmer(seq), features.hnr(frames, f0s)
     for i, (frame, f0) in enumerate(zip(frames, f0s)):
         ref = oracle.voice_quality(frame, f0, SR)
         assert (jit[i], djit[i], shim[i]) == ref[:3], i
@@ -94,7 +94,7 @@ def test_row_kernels_match_the_frame_oracle(frame_len, rows):
 def test_exact_period_counts_and_fallbacks(k, frame_len):
     # uneven periods and amplitudes, so no statistic is 0 by coincidence
     x, f0 = counted_train(frame_len, k, offsets=(0, 3, -2, 4, 0, 0))
-    seq = pitch.track_periods(x[None], np.array([f0]), SR)
+    seq = pitch.track_periods(x[None], np.array([f0]))
     assert seq.counts[0] == k
     assert (features.jitter(seq)[0] > 0.0) == (k >= 3)
     assert (features.shimmer(seq)[0] > 0.0) == (k >= 3)
