@@ -3,7 +3,7 @@
 Pipeline: WAV corpus -> framewise acoustic features (prosodic, voice quality,
 spectral, temporal, MFCC) -> fixed-duration segments -> 1D-CNN classifier ->
 utterance-level decision by activation averaging.  Includes feature-ablation
-(RFE/IFE) and feature-combination experiment harnesses plus a synthetic
+(RFE/IFE) harnesses, training on any union of feature sets, and a synthetic
 two-class corpus generator for desk-scale verification.
 """
 

@@ -3,12 +3,13 @@
 Every run is deterministic given identical flags; results files embed the
 resolved configuration.  ``--features`` takes a comma list whose items are
 set names (handcrafted, mfcc, all) or channel ids, so ``train --features
-handcrafted,mfcc`` trains on the union of two sets.  ``--seed`` defaults
-to 0 and ``--split-seed`` to the seed.  ``@FILE`` stands for the
-arguments in FILE, one per line (``--manifest=corp/manifest.tsv``);
-argparse expands them in place and checks them as if typed, so in
-``lctid train @run.args --epochs 5`` the later ``--epochs`` wins.  No
-flag may be shortened.  ``--verbose`` is a flag of ``lctid`` itself: a
+handcrafted,mfcc`` trains on the union of two sets.  A run flag left
+unset takes ``experiments.ExperimentConfig``'s default: the optimizer
+follows ``--arch``, the patience ``--val-fraction`` and ``--split-seed``
+``--seed``.  ``@FILE`` stands for the arguments in FILE, one per line
+(``--manifest=corp/manifest.tsv``); argparse expands them in place and
+checks them as if typed, so in ``lctid train @run.args --epochs 5`` the
+later ``--epochs`` wins.  No flag may be shortened.  ``--verbose`` is a flag of ``lctid`` itself: a
 file that holds it goes before the subcommand.  ``train`` writes
 ``model.lct``, which is all that ``eval`` needs, and ``results.json``.
 ``train`` and ``ablate --method ife`` score a held-out split and take
@@ -27,6 +28,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -81,26 +83,15 @@ def parse_hours(text: str) -> float:
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
-    optimizer = args.optimizer or cnn.default_optimizer(args.arch)
-    # early stopping reads the validation loss, so it needs a validation split
-    patience = args.patience
-    if patience is None:
-        patience = 5 if args.val_fraction > 0 else 0
-    elif patience > 0 and args.val_fraction == 0:
-        raise ValueError(f"patience {patience} needs a validation split; "
-                         f"set --val-fraction > 0")
-    train_cfg = cnn.TrainConfig(
-        optimizer=optimizer, batch_size=args.batch_size,
-        learning_rate=args.lr, epochs=args.epochs,
-        conv_dropout=args.conv_dropout, dense_dropout=args.dense_dropout,
-        seed=args.seed, early_stop_patience=patience)
-    # a split flag the command lacks, or left unset, takes the default
-    split = {name: getattr(args, name) for name in ("test_fraction", "folds")
-             if getattr(args, name, None) is not None}
-    return experiments.ExperimentConfig(
-        train=train_cfg, arch_id=args.arch,
-        split_seed=args.split_seed if args.split_seed is not None else args.seed,
-        val_fraction=args.val_fraction, **split)
+    """The config of the run flags given; `ExperimentConfig` sets the rest."""
+    given = vars(args)
+
+    def fields_of(cls) -> dict:
+        return {f.name: given[f.name] for f in dataclasses.fields(cls)
+                if f.name in given}
+
+    return experiments.ExperimentConfig(train=fields_of(cnn.TrainConfig),
+                                        **fields_of(experiments.ExperimentConfig))
 
 
 def _unread_split(args) -> str:
@@ -109,34 +100,37 @@ def _unread_split(args) -> str:
     return "test_fraction" if getattr(args, "method", None) == "rfe" else "folds"
 
 
-def _load_balanced(args) -> CorpusManifest:
+def _load_balanced(args, config: experiments.ExperimentConfig) -> CorpusManifest:
     manifest = load_manifest(args.manifest)
     if args.balanced is not None:
-        manifest = derive_balanced_subset(manifest, args.balanced, args.seed)
+        manifest = derive_balanced_subset(manifest, args.balanced,
+                                          config.train.seed)
     return manifest
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    # p suppresses the defaults: a run flag not given is left out of args
     p.add_argument("--manifest", required=True)
     p.add_argument("--balanced", type=parse_hours, default=None,
                    help="derive a balanced subset first, e.g. 8h")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arch", default="CA03", choices=sorted(cnn.ARCHITECTURES))
+    p.add_argument("--features", default="handcrafted")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--arch", dest="arch_id", choices=sorted(cnn.ARCHITECTURES))
     p.add_argument("--optimizer", choices=["minibatch_gd", "sgd"],
                    help="default: per-architecture training method")
     p.add_argument("--batch-size", type=int,
                    help="default: 1 for sgd, 32 for minibatch_gd")
-    p.add_argument("--lr", type=float,
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR",
                    help="default: per-optimizer learning rate")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--conv-dropout", type=float, default=0.25)
-    p.add_argument("--dense-dropout", type=float, default=0.5)
-    p.add_argument("--patience", type=int,
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--conv-dropout", type=float)
+    p.add_argument("--dense-dropout", type=float)
+    p.add_argument("--patience", dest="early_stop_patience", type=int, metavar="N",
                    help="early-stop patience on validation loss (0 = off); "
                         "default: 5 with --val-fraction > 0, else 0")
-    p.add_argument("--val-fraction", type=float, default=0.0)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--val-fraction", type=float)
+    p.add_argument("--split-seed", type=int, help="default: --seed")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,7 @@ def cmd_plot(args) -> int:
 
 def cmd_train(args) -> int:
     config = _experiment_config(args)
-    manifest = _load_balanced(args)
+    manifest = _load_balanced(args, config)
     channels = resolve_featureset(args.features)
     dataset = experiments.prepare_dataset(manifest, channels)
     train_idx, test_idx = experiments.stratified_holdout(
@@ -286,7 +280,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _experiment_config(args)
-    manifest = _load_balanced(args)
+    manifest = _load_balanced(args, config)
     channels = resolve_featureset(args.features)
     dataset = experiments.prepare_dataset(manifest, channels)
     if args.method == "rfe":
@@ -353,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("train", help="train a model and score a held-out split")
-    p.add_argument("--features", default="handcrafted")
+    p = sub.add_parser("train", help="train a model and score a held-out split",
+                       argument_default=argparse.SUPPRESS)
     _add_train_flags(p)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a manifest")
@@ -365,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="feature ablation (RFE or IFE)")
+    p = sub.add_parser("ablate", help="feature ablation (RFE or IFE)",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--method", required=True, choices=["rfe", "ife"])
-    p.add_argument("--features", default="handcrafted")
     _add_train_flags(p)
     p.add_argument("--test-fraction", type=float,
                    help="ife only: held-out fraction (default 0.2)")

@@ -564,7 +564,7 @@ class TrainConfig:
     conv_dropout: float = 0.25
     dense_dropout: float = 0.5
     seed: int = 0
-    early_stop_patience: int = 5  # 0 disables
+    early_stop_patience: int = 0  # off; an ExperimentConfig with a val split picks 5
 
     def __post_init__(self):
         if self.optimizer not in ("minibatch_gd", "sgd"):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -231,21 +231,40 @@ def kfold_indices(labels: Sequence[str], k: int,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    train: cnn.TrainConfig = field(default_factory=cnn.TrainConfig)
+    """A run's settings.  `train` is a `cnn.TrainConfig`, used as given, or a
+    dict of the fields to set; the optimizer then follows `arch_id` and the
+    patience is 5 with a validation split, else 0.  `split_seed` defaults to
+    the training seed."""
+    train: cnn.TrainConfig | dict | None = None
     arch_id: str = "CA03"
     test_fraction: float = 0.2
-    split_seed: int = 0
+    split_seed: int | None = None
     folds: int = 4
     val_fraction: float = 0.0  # carved out of train for early stopping
 
     def __post_init__(self):
         # checked here, before any audio is read, as well as where it is used
+        if self.arch_id not in cnn.ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.arch_id!r}; "
+                             f"choose from {sorted(cnn.ARCHITECTURES)}")
         _check_holdout_fraction(self.test_fraction)
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), "
                              f"got {self.val_fraction}")
+        train = self.train
+        if not isinstance(train, cnn.TrainConfig):
+            train = cnn.TrainConfig(**{
+                "optimizer": cnn.default_optimizer(self.arch_id),
+                "early_stop_patience": 5 if self.val_fraction > 0 else 0,
+                **(train or {})})
+            object.__setattr__(self, "train", train)
+        if train.early_stop_patience > 0 and self.val_fraction == 0:
+            raise ValueError(f"patience {train.early_stop_patience} needs a "
+                             f"validation split; set --val-fraction > 0")
+        if self.split_seed is None:
+            object.__setattr__(self, "split_seed", train.seed)
 
 
 # Held-out segments per forward.  From cnn.SGEMM_MIN_ROWS rows up a Dense

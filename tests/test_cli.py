@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -280,6 +281,37 @@ def test_patience_defaults_per_validation_split(flags, patience):
     args = cli.build_parser().parse_args(
         ["train", "--manifest", "m.tsv", "--out", "run"] + flags)
     assert cli._experiment_config(args).train.early_stop_patience == patience
+
+
+REQUIRED = ["--manifest", "m.tsv", "--out", "run"]
+RUN_COMMANDS = [["train"], ["ablate", "--method", "ife"], ["ablate", "--method", "rfe"]]
+
+
+@pytest.mark.parametrize("val", [[], ["--val-fraction", "0.2"]], ids=["no-val", "val"])
+@pytest.mark.parametrize("arch", [None, "CA01", "CA02", "CA03"])
+def test_unset_run_flags_take_the_config_defaults(arch, val):
+    # one source: the CLI passes the flags given, the config resolves the rest
+    flags = val + (["--arch", arch] if arch else [])
+    args = cli.build_parser().parse_args(["train"] + REQUIRED + flags)
+    settings = {"val_fraction": 0.2} if val else {}
+    if arch:
+        settings["arch_id"] = arch
+    assert cli._experiment_config(args) == experiments.ExperimentConfig(**settings)
+
+
+def test_the_split_seed_follows_the_seed():
+    args = cli.build_parser().parse_args(["train"] + REQUIRED + ["--seed", "5"])
+    config = cli._experiment_config(args)
+    assert config == experiments.ExperimentConfig(train={"seed": 5})
+    assert (config.train.seed, config.split_seed) == (5, 5)
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=["train", "ife", "rfe"])
+def test_no_flag_default_repeats_a_run_setting(command):
+    args = cli.build_parser().parse_args(command + REQUIRED)
+    settings = {f.name for cls in (cnn.TrainConfig, experiments.ExperimentConfig)
+                for f in dataclasses.fields(cls)}
+    assert not settings & set(vars(args))
 
 
 def test_balanced_zero_hours_names_the_hours(tmp_path, monkeypatch, capsys):

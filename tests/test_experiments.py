@@ -104,11 +104,40 @@ def test_config_rejects_a_val_fraction_outside_0_1(fraction):
 @pytest.mark.parametrize("settings, match", [
     ({"test_fraction": 0.0}, r"holdout fraction must be in \(0, 1\), got 0.0"),
     ({"folds": 1}, "folds must be >= 2, got 1"),
+    ({"arch_id": "CA99"}, "unknown architecture 'CA99'"),
 ])
 def test_config_rejects_split_settings_before_any_run(settings, match):
     # rfe_round never reads test_fraction; the config checks it for every run
     with pytest.raises(ValueError, match=match):
         experiments.ExperimentConfig(**settings)
+
+
+def test_patience_needs_a_validation_split():
+    # the message names the flag: the CLI passes --patience through unchecked
+    with pytest.raises(ValueError, match="patience 3 needs a validation split; "
+                                         r"set --val-fraction > 0"):
+        experiments.ExperimentConfig(train=cnn.TrainConfig(early_stop_patience=3))
+
+
+@pytest.mark.parametrize("arch_id", ["CA01", "CA03"])
+def test_a_train_config_is_used_as_given(arch_id):
+    # the benchmark passes a full TrainConfig; no field of it is resolved again
+    train = cnn.TrainConfig(optimizer="minibatch_gd", batch_size=8, seed=4)
+    config = experiments.ExperimentConfig(train=train, arch_id=arch_id,
+                                          split_seed=0, val_fraction=0.0)
+    assert config.train is train and config.split_seed == 0
+
+
+@pytest.mark.parametrize("train, val_fraction, expected", [
+    (None, 0.0, {"optimizer": "sgd", "batch_size": 1, "learning_rate": 0.005,
+                 "early_stop_patience": 0}),
+    ({"optimizer": "minibatch_gd"}, 0.2, {"batch_size": 32, "learning_rate": 0.01,
+                                          "early_stop_patience": 5}),
+    ({"early_stop_patience": 2}, 0.2, {"optimizer": "sgd", "early_stop_patience": 2}),
+])
+def test_a_dict_of_train_fields_resolves_the_rest(train, val_fraction, expected):
+    config = experiments.ExperimentConfig(train=train, val_fraction=val_fraction)
+    assert {k: getattr(config.train, k) for k in expected} == expected
 
 
 def _decision_loop_stack(utt, norm, seg_duration_s):
