@@ -108,8 +108,22 @@ def _load_balanced(args, config: experiments.ExperimentConfig) -> CorpusManifest
     return manifest
 
 
+_OPTIMIZERS = ("minibatch_gd", "sgd")
+
+
+def _default_help(field: str, cases: dict[str, dict]) -> str:
+    """'default: VALUE CASE, ...', each VALUE the training `field` that
+    ExperimentConfig(**kwargs) resolves for that case, so --help cannot
+    drift from the config that picks the default."""
+    return "default: " + ", ".join(
+        f"{getattr(experiments.ExperimentConfig(**kwargs).train, field)} {case}"
+        for case, kwargs in cases.items())
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     # p suppresses the defaults: a run flag not given is left out of args
+    per_arch = {f"for {a}": {"arch_id": a} for a in sorted(cnn.ARCHITECTURES)}
+    per_optimizer = {f"for {o}": {"train": {"optimizer": o}} for o in _OPTIMIZERS}
     p.add_argument("--manifest", required=True)
     p.add_argument("--balanced", type=parse_hours, default=None,
                    help="derive a balanced subset first, e.g. 8h")
@@ -117,18 +131,20 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", default="handcrafted")
     p.add_argument("--seed", type=int)
     p.add_argument("--arch", dest="arch_id", choices=sorted(cnn.ARCHITECTURES))
-    p.add_argument("--optimizer", choices=["minibatch_gd", "sgd"],
-                   help="default: per-architecture training method")
+    p.add_argument("--optimizer", choices=_OPTIMIZERS,
+                   help=_default_help("optimizer", per_arch))
     p.add_argument("--batch-size", type=int,
-                   help="default: 1 for sgd, 32 for minibatch_gd")
+                   help=_default_help("batch_size", per_optimizer))
     p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR",
-                   help="default: per-optimizer learning rate")
+                   help=_default_help("learning_rate", per_optimizer))
     p.add_argument("--epochs", type=int)
     p.add_argument("--conv-dropout", type=float)
     p.add_argument("--dense-dropout", type=float)
     p.add_argument("--patience", dest="early_stop_patience", type=int, metavar="N",
                    help="early-stop patience on validation loss (0 = off); "
-                        "default: 5 with --val-fraction > 0, else 0")
+                        + _default_help("early_stop_patience", {
+                            "with --val-fraction > 0": {"val_fraction": 0.5},
+                            "without": {}}))
     p.add_argument("--val-fraction", type=float)
     p.add_argument("--split-seed", type=int, help="default: --seed")
 

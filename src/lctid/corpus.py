@@ -303,17 +303,21 @@ _CLASS_PARAMS = {
 _PULSE_WIDTH_S = 0.0015
 
 
-def _add_pulse(x: np.ndarray, t_s: float, amp: float) -> None:
-    # One sine cycle over [t, t + W], evaluated at exact sample times so the
-    # pulse train carries sub-sample period accuracy (integer placement would
-    # put a quantization floor under every jitter measurement).
+def _render_pulses(n: int, times_s: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    # One sine cycle over [t, t + W] per pulse, evaluated at exact sample
+    # times so the pulse train carries sub-sample period accuracy (integer
+    # placement would put a quantization floor under every jitter
+    # measurement).  np.add.at sums in pulse order, as a loop would.
     w = _PULSE_WIDTH_S
-    k0 = int(np.ceil(t_s * CANONICAL_RATE_HZ))
-    k1 = min(x.size - 1, int(np.floor((t_s + w) * CANONICAL_RATE_HZ)))
-    if k1 < k0:
-        return
-    tau = np.arange(k0, k1 + 1) / CANONICAL_RATE_HZ - t_s
-    x[k0:k1 + 1] += amp * np.sin(2.0 * np.pi * tau / w)
+    k0 = np.ceil(times_s * CANONICAL_RATE_HZ).astype(np.intp)
+    k1 = np.minimum(n - 1, np.floor((times_s + w) * CANONICAL_RATE_HZ).astype(np.intp))
+    counts = np.maximum(k1 - k0 + 1, 0)
+    starts = np.repeat(k0 - np.cumsum(counts) + counts, counts)
+    idx = starts + np.arange(counts.sum())
+    tau = idx / CANONICAL_RATE_HZ - np.repeat(times_s, counts)
+    x = np.zeros(n)
+    np.add.at(x, idx, np.repeat(amps, counts) * np.sin(2.0 * np.pi * tau / w))
+    return x
 
 
 def _synth_utterance(rng: np.random.Generator, dialect: str,
@@ -321,19 +325,21 @@ def _synth_utterance(rng: np.random.Generator, dialect: str,
     (fm_lo, fm_hi), fm_depth, (am_lo, am_hi), am_depth, jit, shim, silences = \
         _CLASS_PARAMS[dialect]
     n = int(round(dur_s * CANONICAL_RATE_HZ))
-    x = np.zeros(n)
     f0_base = rng.uniform(230.0, 300.0)
     fm_rate = rng.uniform(fm_lo, fm_hi)
     am_rate = rng.uniform(am_lo, am_hi)
     phi_f = rng.uniform(0.0, 2 * np.pi)
     phi_a = rng.uniform(0.0, 2 * np.pi)
     t = rng.uniform(0.0, 1.0 / f0_base)
+    times, amps = [], []
     while t < dur_s:
         f_inst = f0_base * (1.0 + fm_depth * np.sin(2 * np.pi * fm_rate * t + phi_f))
         amp = 0.35 * (1.0 + am_depth * np.sin(2 * np.pi * am_rate * t + phi_a))
         amp *= 1.0 + shim * rng.uniform(-1.0, 1.0)
-        _add_pulse(x, t, amp)
+        times.append(t)
+        amps.append(amp)
         t += (1.0 / f_inst) * (1.0 + jit * rng.uniform(-1.0, 1.0))
+    x = _render_pulses(n, np.array(times), np.array(amps))
     if silences:
         for _ in range(max(1, int(round(dur_s * 1.2)))):
             gap = int(rng.uniform(0.05, 0.10) * CANONICAL_RATE_HZ)

@@ -3,6 +3,8 @@
 Shared conventions for every feature extractor: 16 kHz (the one analysis
 rate, `corpus.CANONICAL_RATE_HZ`), 10 ms hop, Hamming window, FFT size =
 smallest power of two >= frame length, DC bin excluded from spectral sums.
+Frames are read-only views into the signal, never copies, so framing an
+utterance allocates nothing the size of its frame stack.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ def frame_signal(samples: np.ndarray, frame_ms: float) -> np.ndarray:
     """Slice a signal into overlapping frames on the `HOP_MS` grid (no window).
 
     Returns the (num_frames, frame_len) array whose row i is exactly the
-    signal slice [i*hop, i*hop + frame_len).  Raises ValueError if the
-    signal is shorter than one frame.
+    signal slice [i*hop, i*hop + frame_len).  It is a read-only strided view
+    of the float64 signal (of `samples` itself when that is a float64 array),
+    so consecutive rows share samples; copy it before writing.  Raises
+    ValueError if the signal is shorter than one frame.
     """
     x = np.ascontiguousarray(samples, dtype=np.float64)
     frame_len = samples_for_ms(frame_ms)
@@ -45,8 +49,7 @@ def frame_signal(samples: np.ndarray, frame_ms: float) -> np.ndarray:
         raise ValueError(
             f"signal of {x.size} samples is shorter than one {frame_ms:g} ms "
             f"frame ({frame_len} samples)")
-    windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return np.ascontiguousarray(windows)
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def default_fft_size(frame_len: int) -> int:
@@ -66,8 +69,8 @@ def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     """
     frames = np.atleast_2d(frames)
     fft_size = default_fft_size(frames.shape[1])
-    windowed = frames * np.hamming(frames.shape[1])
-    return np.abs(np.fft.rfft(windowed, n=fft_size, axis=1))[:, 1:fft_size // 2 + 1]
+    spectra = np.fft.rfft(frames * np.hamming(frames.shape[1]), n=fft_size, axis=1)
+    return np.abs(spectra[:, 1:fft_size // 2 + 1])
 
 
 def bin_frequencies(fft_size: int) -> np.ndarray:

@@ -225,26 +225,34 @@ def hnr(frames: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     if not np.all(f0 > 0.0):
         raise pitch.UnvoicedFrameError("unvoiced frame (f0 = 0)")
     n, size = x.shape
-    rows = np.arange(n)
-    fft_size = next_fast_len(2 * size, real=True)
-    spec = np.fft.rfft(x, n=fft_size, axis=1)
-    cross = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=fft_size, axis=1)
-    squares = x * x
-    head = np.cumsum(squares, axis=1)            # head[:, k] = |x[:k+1]|²
-    tail = np.cumsum(squares[:, ::-1], axis=1)   # tail[:, k] = |x[-k-1:]|²
+    rows = np.arange(n)[:, None]
     lag = np.round(CANONICAL_RATE_HZ / f0).astype(np.intp)
     halo = np.maximum(1, np.round(0.04 * lag).astype(np.intp))
-    best = np.full(n, -1.0)
+    # One gather over the stack's widest halo; offsets past a row's own
+    # halo, or lags outside the frame, read -1 and never win the max.
     reach = int(halo.max(initial=0))
-    for dl in range(-reach, reach + 1):
-        lg = lag + dl
-        ok = (abs(dl) <= halo) & (lg >= 1) & (lg < size - 1)
-        lg = np.where(ok, lg, 1)
-        denom = np.sqrt(head[rows, size - lg - 1] * tail[rows, size - lg - 1])
-        ok &= denom > 0.0
-        r = np.divide(cross[rows, lg], denom, out=np.full(n, -1.0), where=ok)
-        best = np.maximum(best, r)
-    best = np.maximum(best, 0.0)
+    dl = np.arange(-reach, reach + 1)
+    lg = lag[:, None] + dl
+    ok = (np.abs(dl) <= halo[:, None]) & (lg >= 1) & (lg < size - 1)
+    lg = np.where(ok, lg, 1)
+    # Each whole-stack temporary is dropped once read (the running sums
+    # before the FFT, the complex spectra before its inverse), so no two of
+    # them are alive together.
+    squares = x * x
+    end = size - lg - 1
+    head = np.cumsum(squares, axis=1)[rows, end]          # |x[:-l]|²
+    tail = np.cumsum(squares[:, ::-1], axis=1)[rows, end]  # |x[l:]|²
+    del squares
+    denom = np.sqrt(head * tail)
+    ok &= denom > 0.0
+    fft_size = next_fast_len(2 * size, real=True)
+    spec = np.fft.rfft(x, n=fft_size, axis=1)
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    del spec
+    cross = np.fft.irfft(power, n=fft_size, axis=1)
+    r = np.divide(cross[rows, lg], denom, out=np.full(lg.shape, -1.0), where=ok)
+    best = np.maximum(r.max(axis=1), 0.0)
     linear = best / np.maximum(1.0 - best, 1e-15)
     return np.log10(np.clip(linear, *_HNR_CLAMP))
 
@@ -288,8 +296,8 @@ def mel_filterbank(fft_size: int) -> np.ndarray:
 def mfcc_rows(frames: np.ndarray) -> np.ndarray:
     """Mel-frequency cepstral coefficients of each frame: (n, frame_len) ->
     (n, len(MFCC_IDS))."""
-    emphasized = np.concatenate(
-        [frames[:, :1], frames[:, 1:] - PRE_EMPHASIS * frames[:, :-1]], axis=1)
+    emphasized = frames.copy()
+    emphasized[:, 1:] -= PRE_EMPHASIS * frames[:, :-1]
     mags = dsp.magnitude_spectra(emphasized)
     bank = mel_filterbank(2 * mags.shape[1])
     energies = mags ** 2 @ bank.T
@@ -351,7 +359,9 @@ def extract_matrix(waveform: Waveform,
     if wanted & set(MFCC_IDS):
         rows.update(zip(MFCC_IDS, mfcc_rows(frames20).T))
 
-    values = np.vstack([rows[c] for c in channels])
+    values = np.empty((len(channels), num_frames))
+    for i, c in enumerate(channels):
+        values[i] = rows[c]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"non-finite feature values for {source_id or 'utterance'}")
     return FeatureMatrix(values=values, channel_ids=channels)

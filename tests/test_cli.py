@@ -274,6 +274,31 @@ def test_batch_size_defaults_per_optimizer(arch, optimizer, batch_size):
     assert (train.optimizer, train.batch_size) == (optimizer, batch_size)
 
 
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--method", "rfe"]])
+def test_help_states_the_defaults_the_config_resolves(command, monkeypatch, capsys):
+    # changed defaults: the help must follow them, not restate the old ones
+    monkeypatch.setattr(cnn, "default_optimizer",
+                        lambda arch: "sgd" if arch == "CA01" else "minibatch_gd")
+    monkeypatch.setattr(cnn, "default_learning_rate",
+                        lambda optimizer: 0.25 if optimizer == "sgd" else 0.125)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(command[:1] + ["--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+
+    def resolved(**kwargs):
+        return experiments.ExperimentConfig(**kwargs).train
+
+    batch = {o: resolved(train={"optimizer": o}).batch_size for o in ("minibatch_gd", "sgd")}
+    patience = [resolved(val_fraction=0.2).early_stop_patience,
+                resolved().early_stop_patience]
+    assert "default: sgd for CA01, minibatch_gd for CA02, minibatch_gd for CA03" in usage
+    assert "default: 0.125 for minibatch_gd, 0.25 for sgd" in usage
+    assert (f"default: {batch['minibatch_gd']} for minibatch_gd, "
+            f"{batch['sgd']} for sgd") in usage
+    assert (f"default: {patience[0]} with --val-fraction > 0, "
+            f"{patience[1]} without") in usage
+
+
 @pytest.mark.parametrize("flags, patience", [
     ([], 0), (["--patience", "0"], 0), (["--val-fraction", "0.2"], 5),
     (["--val-fraction", "0.2", "--patience", "2"], 2)])

@@ -52,6 +52,16 @@ class TestFraming:
         for i in (0, 1, 17, len(frames) - 1):
             assert np.array_equal(frames[i], x[i * self.HOP:i * self.HOP + flen])
 
+    def test_frames_are_a_read_only_view(self):
+        # framing copies nothing, so a write into one frame would change
+        # its overlapping neighbours and the signal: it must raise
+        x = np.random.default_rng(1).standard_normal(SR)
+        frames = dsp.frame_signal(x, 60.0)
+        assert np.shares_memory(frames, x)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[1, 0] = 0.0
+
     def test_60ms_uses_1024_fft(self):
         assert dsp.default_fft_size(960) == 1024
         assert dsp.default_fft_size(320) == 512

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,6 +357,21 @@ class TestExtractMatrix:
         m = extract_matrix(Waveform(0.2 * x / np.abs(x).max(), SR), "all")
         assert (m.channels(["F0"]).values > 0).sum() > 100
         assert calls == {"track_periods": 1, "hnr": 1}
+
+    def test_all_extraction_peak_memory(self):
+        # The peak is the windowed 60 ms stack plus its complex spectra
+        # (about 4.5 MB for 2.875 s); a copied frame stack, or whole-stack
+        # temporaries kept alive together, push it past the bound.
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+        w = Waveform(corpus._synth_utterance(rng, "CT", 2.875), SR)
+        extract_matrix(w, "all")  # the SHS kernel and mel bank are cached
+        tracemalloc.start()
+        try:
+            extract_matrix(w, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.9e6
 
     def test_subset_channels(self):
         rng = np.random.default_rng(3)

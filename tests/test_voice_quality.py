@@ -100,3 +100,16 @@ def test_exact_period_counts_and_fallbacks(k, frame_len):
     assert (features.shimmer(seq)[0] > 0.0) == (k >= 3)
     assert (features.jitter_derivative(seq)[0] > 0.0) == (k >= 4)
     assert_rows_match_oracle(x[None], np.array([f0]))
+
+
+@pytest.mark.parametrize("kind", ["pulses", "noise", "tone"])
+def test_hnr_of_a_stack_is_each_rows_hnr(kind):
+    # The halo search gathers over the stack's widest halo (60 Hz: lag 267,
+    # +-11); each row must still search its own halo alone (400 Hz: lag 40,
+    # +-2), so a row gives the same bits in any stack.
+    f0s = np.array([60.0, 400.0, 97.0, 250.0, 61.5, 180.0, 333.0, 75.0])
+    frames = np.array([make_row(kind, f0, seed, 480, 3)[0]
+                       for seed, f0 in enumerate(f0s)])
+    alone = [features.hnr(frame[None], f0s[i:i + 1])[0]
+             for i, frame in enumerate(frames)]
+    assert np.array_equal(features.hnr(frames, f0s), alone)
