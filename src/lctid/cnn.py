@@ -33,21 +33,31 @@ after every layer has passed does `train_step` write each layer's
 weights in place, W − lr·XᵀG as one BLAS call, and bind its new biases.
 A step that raises writes nothing.
 
-A Dense input of 2 to SGEMM_MIN_ROWS - 1 rows is multiplied as one gemv
-per row, not one sgemm.  OpenBLAS's sgemm packs the whole weight
-matrix however few rows it multiplies, so a 2-row product cost more
-than twice a 1-row one: on CA03's 2304×1024 dense0 (one BLAS thread,
-2-core Xeon, numpy 2.4.6, medians in ms)
+A Dense input of 2 to SGEMM_MIN_ROWS - 1 rows is multiplied by one row
+block of the weights at a time, y = x[:, :k] @ W[:k] and then
+y += x[:, i:i + k] @ W[i:i + k], each block DENSE_BLOCK_BYTES of W.
+OpenBLAS's sgemm packs the whole weight matrix however few rows it
+multiplies, and one gemv per row streams W from memory once per row; a
+block fits in L2 (2 MB per core), so W is read once for all rows.  On
+CA03's 2304×1024 dense0 (one BLAS thread, 2-core Xeon, OpenBLAS 0.3.31
+Haswell kernels, numpy 2.4.6, medians in ms)
 
     rows            1     2     3     4     6     8    16
-    sgemm         0.50  1.82  2.04  1.51  2.09  2.08  2.54
-    gemv per row  0.54  0.98  1.22  2.00  2.89  3.74  7.54
+    sgemm         0.46  1.24  1.44  1.30  1.73  1.67  1.67
+    gemv per row  0.49  0.86  1.27  1.74  2.88  3.84  6.89
+    blocks of W   0.52  0.50  0.70  0.62  1.73  1.66  1.73
 
-and 1024×512 dense1 crosses at the same row count (3 rows 0.33 against
-0.21 ms, 4 rows 0.28 against 0.28).  Per-utterance inference scores 1–3
-segments, so it takes the gemv path.  One row stays x @ W, which numpy
-already runs as gemv, so a batch-1 SGD step is untouched; a 2- or 3-row
-minibatch may round differently in the last bits than one sgemm would.
+and on 1024×512 dense1 blocks took 0.11 and 0.16 ms at 2 and 3 rows,
+against 0.14 and 0.20 as gemvs and 0.28 and 0.33 as one sgemm.  Blocks of
+128 to 256 rows of a 1024-wide W ran alike; 384 rows (1.5 MB) took 1.60
+ms at 3 rows, past L2 with the packed rows.  DENSE_BLOCK_BYTES is 192
+rows of a 1024-wide W; a narrower W takes more rows per block, dense1 384
+and the classifier all of its rows in one product.  Per-utterance inference
+scores 1–3 segments, so it takes the block path.  One row stays x @ W,
+which numpy already runs as gemv, so a batch-1 SGD step is untouched.  A
+2- or 3-row batch rounds differently in the last bits than one sgemm
+would.  Blocks still win at 4 rows, but SGEMM_MIN_ROWS stays 4, so that
+batches of 4 rows and more keep the bits of one sgemm.
 """
 
 from __future__ import annotations
@@ -113,9 +123,14 @@ class Conv1D:
         if c != self.in_channels:
             raise ShapeMismatchError(
                 f"conv expects {self.in_channels} channels, got {c}")
-        win = np.lib.stride_tricks.sliding_window_view(x, self.kernel_len, axis=1)
-        cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
-            b, t - self.kernel_len + 1, self.kernel_len * c)
+        # im2col: window (b, t_out, k, c) over x's own buffer, then one copy;
+        # BLAS cannot take the overlapping rows of the window itself
+        x = np.ascontiguousarray(x)
+        sb, st, sc = x.strides
+        t_out = t - self.kernel_len + 1
+        win = np.ndarray((b, t_out, self.kernel_len, c), x.dtype, x, 0,
+                         (sb, st, st, sc))
+        cols = np.ascontiguousarray(win).reshape(b, t_out, self.kernel_len * c)
         out = cols @ self.weights.reshape(-1, self.out_channels) + self.biases
         return out, (x, cols)
 
@@ -278,7 +293,8 @@ class Flatten:
         return grad.reshape(cache)
 
 
-SGEMM_MIN_ROWS = 4  # from here one sgemm; from 2 rows to here, one gemv per row
+SGEMM_MIN_ROWS = 4  # from here one sgemm; from 2 rows to here, blocks of W
+DENSE_BLOCK_BYTES = 768 << 10  # weights per block: 192 rows of a 1024-wide W
 
 
 class Dense:
@@ -295,12 +311,18 @@ class Dense:
         return self.weights.size + self.biases.size
 
     def forward(self, x):
-        """x @ W + b.  2 to SGEMM_MIN_ROWS - 1 rows go as one gemv per
-        row: sgemm packs all of W for any row count, so on dense0 two rows
-        took 1.82 ms as one sgemm and 0.98 ms as two gemvs (table in the
-        module docstring).  One row stays x @ W, which numpy runs as gemv."""
+        """x @ W + b.  2 to SGEMM_MIN_ROWS - 1 rows are summed over row
+        blocks of DENSE_BLOCK_BYTES of W, in order, so W is read once: on
+        dense0 two rows took 0.50 ms, against 0.86 ms as two gemvs and 1.24
+        ms as one sgemm (table in the module docstring).  One row stays
+        x @ W, which numpy runs as gemv."""
         if 1 < x.shape[0] < SGEMM_MIN_ROWS:
-            return (x[:, None, :] @ self.weights)[:, 0] + self.biases, x
+            w = self.weights
+            k = DENSE_BLOCK_BYTES // w[0].nbytes  # rows per block
+            y = x[:, :k] @ w[:k]
+            for i in range(k, len(w), k):
+                y += x[:, i:i + k] @ w[i:i + k]
+            return y + self.biases, x
         return x @ self.weights + self.biases, x
 
     def backward(self, grad, cache, grads_out):

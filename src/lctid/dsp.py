@@ -69,8 +69,20 @@ def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     """
     frames = np.atleast_2d(frames)
     fft_size = default_fft_size(frames.shape[1])
-    spectra = np.fft.rfft(frames * np.hamming(frames.shape[1]), n=fft_size, axis=1)
+    spectra = np.fft.rfft(frames * _hamming(frames.shape[1]), n=fft_size, axis=1)
     return np.abs(spectra[:, 1:fft_size // 2 + 1])
+
+
+_window_cache: dict[int, np.ndarray] = {}
+
+
+def _hamming(frame_len: int) -> np.ndarray:
+    """The read-only Hamming window of `frame_len` samples, built once."""
+    if frame_len not in _window_cache:
+        window = np.hamming(frame_len)
+        window.flags.writeable = False
+        _window_cache[frame_len] = window
+    return _window_cache[frame_len]
 
 
 def bin_frequencies(fft_size: int) -> np.ndarray:

@@ -269,7 +269,7 @@ class ExperimentConfig:
 
 # Held-out segments per forward.  From cnn.SGEMM_MIN_ROWS rows up a Dense
 # layer is one sgemm, which makes one pass over the weights for all rows: 16
-# rows of dense0 took 2.54 ms, against 7.54 ms as 16 gemvs.  The chunk caps
+# rows of dense0 took 1.67 ms, against 6.89 ms as 16 gemvs.  The chunk caps
 # the memory.
 EVAL_CHUNK_SEGMENTS = 16
 

@@ -147,8 +147,7 @@ def flux_rows(mags: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", mags, mags))
     out = np.zeros(mags.shape[0])
     ok = norms > 0.0
-    unit = np.zeros_like(mags)
-    unit[ok] = mags[ok] / norms[ok, None]
+    unit = np.divide(mags, norms[:, None], out=np.zeros_like(mags), where=ok[:, None])
     d = unit[1:] - unit[:-1]
     flux = np.einsum("ij,ij->i", d, d)
     both = ok[1:] & ok[:-1]

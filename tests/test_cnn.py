@@ -104,6 +104,21 @@ class TestConv1D:
         with pytest.raises(cnn.ShapeMismatchError):
             conv.forward(np.zeros((1, 12, 5)))
 
+    @pytest.mark.parametrize("batch", [1, 2, 32])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_im2col_is_the_window_copy(self, batch, strided):
+        # cols is C-contiguous and holds row t the frames t..t+k-1, each
+        # frame's channels in order, as sliding_window_view lays them out
+        conv = cnn.Conv1D(10, 13, 32)
+        x = np.random.default_rng(batch).standard_normal(
+            (batch, 2 * 40 if strided else 40, 13), dtype=np.float32)
+        if strided:
+            x = x[:, ::2]  # every other frame: no longer contiguous
+        _, (_, cols) = conv.forward(x)
+        win = np.lib.stride_tricks.sliding_window_view(x, 10, axis=1)
+        want = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(batch, 31, 130)
+        assert cols.flags.c_contiguous and same_bits(cols, want)
+
 
 POOL_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
@@ -178,15 +193,19 @@ def _dense(in_features, out_features, seed=0):
 
 
 class TestDense:
-    # 2304 inputs, as CA03's dense0, so that sgemm and gemv sum in
-    # different orders and a wrong path shows in the bits
-    @pytest.mark.parametrize("rows", range(1, cnn.SGEMM_MIN_ROWS))
-    def test_few_rows_are_one_gemv_each(self, rows):
-        dense = _dense(2304, 64)
+    # CA03's dense0, 2304 x 1024: its weights span 12 blocks, so that a sum
+    # over other blocks, in another order or as one product shows in the bits
+    @pytest.mark.parametrize("rows", range(2, cnn.SGEMM_MIN_ROWS))
+    def test_few_rows_sum_the_weight_blocks_in_order(self, rows):
+        dense = _dense(2304, 1024)
         x = np.random.default_rng(rows).standard_normal((rows, 2304), dtype=np.float32)
         out, cache = dense.forward(x)
-        want = np.stack([r @ dense.weights for r in x]) + dense.biases
-        assert same_bits(out, want) and cache is x
+        w, k = dense.weights, cnn.DENSE_BLOCK_BYTES // (4 * 1024)
+        want = x[:, :k] @ w[:k]
+        for i in range(k, 2304, k):
+            want += x[:, i:i + k] @ w[i:i + k]
+        assert 2304 // k == 12
+        assert same_bits(out, want + dense.biases) and cache is x
 
     def test_one_row_is_the_matrix_product(self):
         # a batch-1 SGD step: the gemv path gives the bits x @ W gives
@@ -196,12 +215,15 @@ class TestDense:
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, cnn.SGEMM_MIN_ROWS + 2),
-           in_features=st.integers(1, 300), out_features=st.integers(1, 40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_a_float64_reference(self, rows, in_features, out_features,
+           blocks=st.integers(0, 3), tail=st.integers(0, 300),
+           out_features=st.integers(1, 1024), seed=st.integers(0, 2**32 - 1))
+    def test_matches_a_float64_reference(self, rows, blocks, tail, out_features,
                                          seed):
-        # on both sides of SGEMM_MIN_ROWS; a float32 dot product of n terms
-        # is within n * eps of the float64 one, relative to sum |x_i w_i|
+        # on both sides of SGEMM_MIN_ROWS, over up to 3 weight blocks and a
+        # ragged tail; a float32 dot product of n terms is within n * eps of
+        # the float64 one, relative to sum |x_i w_i|
+        block_rows = cnn.DENSE_BLOCK_BYTES // (4 * out_features)
+        in_features = max(1, blocks * block_rows + tail)
         dense = _dense(in_features, out_features, seed)
         x = np.random.default_rng(seed + 1).standard_normal(
             (rows, in_features), dtype=np.float32)
