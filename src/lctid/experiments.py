@@ -14,7 +14,6 @@ Tied accuracies share a rank and the following rank numbers are skipped.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -427,7 +426,12 @@ def ife(features: Iterable[str], dataset: Dataset,
 def run_record(config: ExperimentConfig, featureset: Sequence[str],
                unread: str, extra: dict) -> dict:
     """A run's settings less `unread`, the split setting that it did not
-    read, its feature set and `extra`, under a run id hashed from them all."""
+    read, its feature set and `extra`, under a run id hashed from them all.
+    hashlib is imported here, not at module top: it loads OpenSSL's
+    libcrypto (about 3.5 MB resident), which only a run that writes its
+    record needs."""
+    import hashlib
+
     settings = asdict(config)
     del settings[unread]
     payload = {"config": settings, "featureset": list(featureset), **extra}

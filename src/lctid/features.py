@@ -14,6 +14,8 @@ periods), and HNR reads the autocorrelation of every row near its pitch
 lag from one FFT.  The analysis settings (SHS in `pitch`, MFCC here) are
 module constants and the rate is `corpus.CANONICAL_RATE_HZ`, so
 `extract_matrix` takes a waveform and a channel set and nothing else.
+The MFCCs' DCT-II is one matmul on a constant cosine basis, `MFCC_DCT`,
+so extraction runs on numpy alone and never imports scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.fft import dct, next_fast_len
 
 from . import dsp, pitch
 from .corpus import CANONICAL_RATE_HZ, Waveform
@@ -204,6 +205,20 @@ def shimmer(p: pitch.PeriodSequence) -> np.ndarray:
 _HNR_CLAMP = (1e-4, 1e4)
 
 
+def _fast_fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (1 for n < 1), the size that
+    `scipy.fft.next_fast_len(n, real=True)` picks."""
+    size = max(n, 1)
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
+
+
 def hnr(frames: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     """log10 harmonic-to-noise energy ratio of each row via normalized
     autocorrelation, each row at its own f0 (Hz at `CANONICAL_RATE_HZ`).
@@ -244,7 +259,7 @@ def hnr(frames: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     del squares
     denom = np.sqrt(head * tail)
     ok &= denom > 0.0
-    fft_size = next_fast_len(2 * size, real=True)
+    fft_size = _fast_fft_size(2 * size)
     spec = np.fft.rfft(x, n=fft_size, axis=1)
     power = spec.real ** 2
     power += spec.imag ** 2
@@ -262,6 +277,16 @@ def hnr(frames: np.ndarray, f0s: np.ndarray) -> np.ndarray:
 MEL_FILTERS = 26     # triangles from 0 Hz to Nyquist
 PRE_EMPHASIS = 0.97
 LOG_FLOOR = 1e-10    # floor on each filter energy before the log
+
+# The orthonormal DCT-II basis as a (MEL_FILTERS, len(MFCC_IDS)) matrix:
+# column k is sqrt(2/N) cos(pi k (2n + 1) / 2N) over the N filters, column 0
+# scaled by 1/sqrt(2), so logs @ MFCC_DCT is the first len(MFCC_IDS)
+# coefficients of scipy.fft.dct(logs, type=2, norm="ortho") up to rounding.
+MFCC_DCT = np.sqrt(2.0 / MEL_FILTERS) * np.cos(
+    np.pi / (2 * MEL_FILTERS)
+    * np.outer(2 * np.arange(MEL_FILTERS) + 1, np.arange(len(MFCC_IDS))))
+MFCC_DCT[:, 0] /= np.sqrt(2.0)
+MFCC_DCT.flags.writeable = False
 
 _mel_cache: dict[int, np.ndarray] = {}
 
@@ -294,14 +319,15 @@ def mel_filterbank(fft_size: int) -> np.ndarray:
 
 def mfcc_rows(frames: np.ndarray) -> np.ndarray:
     """Mel-frequency cepstral coefficients of each frame: (n, frame_len) ->
-    (n, len(MFCC_IDS))."""
+    (n, len(MFCC_IDS)).  The orthonormal DCT-II of the log filter energies
+    is one matmul on the constant basis `MFCC_DCT`."""
     emphasized = frames.copy()
     emphasized[:, 1:] -= PRE_EMPHASIS * frames[:, :-1]
     mags = dsp.magnitude_spectra(emphasized)
     bank = mel_filterbank(2 * mags.shape[1])
     energies = mags ** 2 @ bank.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
-    return dct(logs, type=2, norm="ortho", axis=1)[:, :len(MFCC_IDS)]
+    return logs @ MFCC_DCT
 
 
 # ---------------------------------------------------------------------------

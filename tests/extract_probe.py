@@ -10,7 +10,12 @@ warms the program's caches with one pass, and then runs `extract_matrix(...,
   extraction over the same passes, the pages the allocator handed back to
   the OS and took again;
 - `traced_peak_mb`: the `tracemalloc` peak of one extraction of the corpus's
-  longest utterance (first of the ties).
+  longest utterance (first of the ties);
+- `import_rss_mb`: the process's peak resident set (`ru_maxrss`) just after
+  `lctid` is imported, before the benchmark's modules;
+- `peak_rss_mb`: the same at the end, as the benchmark's `peak_rss_mb`
+  reads it;
+- `scipy_loaded`: whether any `scipy` module was loaded by then.
 
     PYTHONPATH=src python3 tests/extract_probe.py --seed 0 --passes 5
 
@@ -33,6 +38,8 @@ import tracemalloc
 from pathlib import Path
 
 from lctid import corpus, features
+
+IMPORT_RSS_MB = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from lctbench import gen, workloads  # noqa: E402
@@ -78,7 +85,10 @@ def main(argv=None) -> int:
         manifest = corpus.load_manifest(gen.generate(recipe, args.seed, Path(tmp)))
         waveforms = [corpus.load_audio(r) for r in manifest.records]
     result = {"seed": args.seed, "blas_threads": workloads.blas_threads(),
-              **probe(waveforms, args.passes)}
+              **probe(waveforms, args.passes),
+              "import_rss_mb": round(IMPORT_RSS_MB, 2),
+              "peak_rss_mb": round(workloads.peak_rss_mb(), 2),
+              "scipy_loaded": "scipy" in sys.modules}  # any submodule loads it
     print(json.dumps(result, indent=1))
     return 0
 

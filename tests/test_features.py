@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dct, next_fast_len
 
 from lctid import cli, corpus, dsp, features, pitch
 from lctid.corpus import Waveform
@@ -183,6 +184,12 @@ class TestHnr:
         rng = np.random.default_rng(7)
         assert one_row_hnr(rng.standard_normal(960), 200.0) <= 1.0
 
+    def test_fft_size_is_scipys_next_fast_len(self):
+        sizes = [features._fast_fft_size(n) for n in range(1, 4097)]
+        assert sizes == [next_fast_len(n, real=True) for n in range(1, 4097)]
+        assert features._fast_fft_size(640) == 640  # 20 ms frames, padded
+        assert features._fast_fft_size(960) == 960  # 480-sample frames, padded
+
 
 class TestSpectralFeatures:
     def test_sharpness_single_bin(self):
@@ -241,7 +248,34 @@ class TestSpectralFeatures:
         assert np.all((got >= 0.0) & (got <= 4.0))
 
 
+def log_filter_energies(frames):
+    """The log mel energies `mfcc_rows` takes its DCT of, step by step."""
+    emphasized = frames.copy()
+    emphasized[:, 1:] -= features.PRE_EMPHASIS * frames[:, :-1]
+    mags = dsp.magnitude_spectra(emphasized)
+    energies = mags ** 2 @ mel_filterbank(2 * mags.shape[1]).T
+    return np.log(np.maximum(energies, features.LOG_FLOOR))
+
+
 class TestMfcc:
+    @pytest.mark.parametrize("source", ["random", "corpus"])
+    def test_matches_scipys_orthonormal_dct(self, source, small_corpus):
+        if source == "random":
+            frames = np.random.default_rng(11).standard_normal((200, 320))
+        else:
+            x = corpus.load_audio(small_corpus.records[0]).samples
+            frames = dsp.frame_signal(x, features.OTHER_FRAME_MS)
+        logs = log_filter_energies(frames)
+        want = dct(logs, type=2, norm="ortho", axis=1)[:, :len(features.MFCC_IDS)]
+        # each coefficient is a 26-term sum of |logs| times |cos| <= 1
+        bound = features.MEL_FILTERS * np.finfo(np.float64).eps * np.abs(logs).sum(axis=1)
+        assert np.all(np.abs(mfcc_rows(frames) - want) <= bound[:, None])
+
+    def test_dct_basis_is_orthonormal(self):
+        basis = features.MFCC_DCT
+        assert basis.shape == (features.MEL_FILTERS, len(features.MFCC_IDS))
+        assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() < 1e-14
+
     def test_zero_frame_floor_vector(self):
         c = mfcc_rows(np.zeros((1, 320)))[0]
         expected_c0 = 26 * np.log(1e-10) * np.sqrt(1.0 / 26)
