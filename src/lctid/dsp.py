@@ -3,20 +3,27 @@
 Shared conventions for every feature extractor: 16 kHz (the one analysis
 rate, `corpus.CANONICAL_RATE_HZ`), 10 ms hop, Hamming window, FFT size =
 smallest power of two >= frame length, DC bin excluded from spectral sums.
+The windows of the two frame lengths are read-only constants built at import.
 Frames are read-only views into the signal, never copies, so framing an
 utterance allocates nothing the size of its frame stack.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .corpus import CANONICAL_RATE_HZ
 
 HOP_MS = 10.0
+PROSODIC_FRAME_MS = 60.0  # F0, ENERGY and VPROB
+OTHER_FRAME_MS = 20.0     # every other channel
 
 __all__ = [
     "HOP_MS",
+    "PROSODIC_FRAME_MS",
+    "OTHER_FRAME_MS",
     "frame_signal",
     "magnitude_spectra",
     "bin_frequencies",
@@ -60,35 +67,35 @@ def default_fft_size(frame_len: int) -> int:
     return k
 
 
+def bin_frequencies(frame_ms: float) -> np.ndarray:
+    """Centre frequency (Hz at `CANONICAL_RATE_HZ`) of bins 1..K/2, the
+    columns of `magnitude_spectra` of `frame_ms` frames."""
+    fft_size = default_fft_size(samples_for_ms(frame_ms))
+    return np.arange(1, fft_size // 2 + 1) * (CANONICAL_RATE_HZ / fft_size)
+
+
+# The read-only Hamming window of each analysis frame, by its sample count.
+WINDOWS = MappingProxyType({n: np.hamming(n) for n in map(
+    samples_for_ms, (PROSODIC_FRAME_MS, OTHER_FRAME_MS))})
+for _window in WINDOWS.values():
+    _window.flags.writeable = False
+del _window
+
+
 def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     """Magnitude spectra of a stack of frames: (n, frame_len) -> (n, K/2)
     with K = default_fft_size(frame_len).
 
     Hamming window, then zero-pad to K; returns bins 1..K/2, whose centre
-    frequencies are `bin_frequencies(K)`.
+    frequencies are `bin_frequencies` of the frame length.  Raises
+    ValueError for frames of any length but the two in `WINDOWS`.
     """
     frames = np.atleast_2d(frames)
-    fft_size = default_fft_size(frames.shape[1])
-    spectra = np.fft.rfft(frames * _hamming(frames.shape[1]), n=fft_size, axis=1)
+    n, fft_size = frames.shape[1], default_fft_size(frames.shape[1])
+    if n not in WINDOWS:
+        raise ValueError(f"no window for {n}-sample frames, only {' or '.join(map(str, WINDOWS))}")
+    spectra = np.fft.rfft(frames * WINDOWS[n], n=fft_size, axis=1)
     return np.abs(spectra[:, 1:fft_size // 2 + 1])
-
-
-_window_cache: dict[int, np.ndarray] = {}
-
-
-def _hamming(frame_len: int) -> np.ndarray:
-    """The read-only Hamming window of `frame_len` samples, built once."""
-    if frame_len not in _window_cache:
-        window = np.hamming(frame_len)
-        window.flags.writeable = False
-        _window_cache[frame_len] = window
-    return _window_cache[frame_len]
-
-
-def bin_frequencies(fft_size: int) -> np.ndarray:
-    """Centre frequency (Hz at `CANONICAL_RATE_HZ`) of bins 1..K/2, the
-    columns of magnitude_spectra."""
-    return np.arange(1, fft_size // 2 + 1) * (CANONICAL_RATE_HZ / fft_size)
 
 
 # Traunmueller closed form, clamped at zero so that 0 Hz maps to 0 Bark

@@ -14,8 +14,8 @@ periods), and HNR reads the autocorrelation of every row near its pitch
 lag from one FFT.  The analysis settings (SHS in `pitch`, MFCC here) are
 module constants and the rate is `corpus.CANONICAL_RATE_HZ`, so
 `extract_matrix` takes a waveform and a channel set and nothing else.
-The MFCCs' DCT-II is one matmul on a constant cosine basis, `MFCC_DCT`,
-so extraction runs on numpy alone and never imports scipy.
+The kernels' tables (`SHARP_BARKS`, `MEL_BANK` and `MFCC_DCT`, the DCT-II as
+one matmul) are read-only constants built at import; extraction needs no scipy.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import dsp, pitch
 from .corpus import CANONICAL_RATE_HZ, Waveform
+from .dsp import OTHER_FRAME_MS, PROSODIC_FRAME_MS
 
 PROSODIC_IDS = ("F0", "ENERGY", "VPROB")
 VOICE_QUALITY_IDS = ("JITTER", "DJITTER", "SHIMMER", "HNR")
@@ -36,8 +37,6 @@ HANDCRAFTED_IDS = PROSODIC_IDS + VOICE_QUALITY_IDS + SPECTRAL_IDS + TEMPORAL_IDS
 MFCC_IDS = tuple(f"MFCC_{i}" for i in range(13))
 ALL_IDS = HANDCRAFTED_IDS + MFCC_IDS
 
-PROSODIC_FRAME_MS = 60.0
-OTHER_FRAME_MS = 20.0
 MIN_WAVEFORM_MS = 100.0
 
 FEATURESET_NAMES = {
@@ -51,7 +50,7 @@ __all__ = [
     "FeatureMatrix", "NormStats",
     "resolve_featureset", "energy_rows", "zcr_rows", "jitter",
     "jitter_derivative", "shimmer", "hnr", "sharpness_rows", "flux_rows",
-    "mfcc_rows", "mel_filterbank", "extract_matrix", "fit_norm", "apply_norm",
+    "mfcc_rows", "MEL_BANK", "extract_matrix", "fit_norm", "apply_norm",
 ]
 
 
@@ -111,8 +110,13 @@ class NormStats:
 
 
 # ---------------------------------------------------------------------------
-# Row kernels: one value per frame of an (n, frame_len) frame stack or an
+# Row kernels: one value per frame of an (n, frame_len) frame stack or of a
 # stack of magnitude spectra from `dsp.magnitude_spectra`
+
+# Bark centre of each bin of a `dsp.OTHER_FRAME_MS` spectrum, read-only
+SHARP_BARKS = dsp.hz_to_bark(dsp.bin_frequencies(OTHER_FRAME_MS))
+SHARP_BARKS.flags.writeable = False
+
 
 def energy_rows(frames: np.ndarray) -> np.ndarray:
     """Sum of squared amplitudes of each frame."""
@@ -134,11 +138,10 @@ def zcr_rows(frames: np.ndarray) -> np.ndarray:
 
 def sharpness_rows(mags: np.ndarray) -> np.ndarray:
     """Spectral centroid on the Bark scale (perceived sharpness) of each
-    spectrum, its bins at `CANONICAL_RATE_HZ`; 0 for a silent one."""
-    barks = dsp.hz_to_bark(dsp.bin_frequencies(2 * mags.shape[1]))
+    `dsp.OTHER_FRAME_MS` spectrum; 0 for a silent one."""
     totals = mags.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = (mags @ barks) / totals
+        vals = (mags @ SHARP_BARKS) / totals
     return np.where(totals > 0.0, vals, 0.0)
 
 
@@ -288,33 +291,25 @@ MFCC_DCT = np.sqrt(2.0 / MEL_FILTERS) * np.cos(
 MFCC_DCT[:, 0] /= np.sqrt(2.0)
 MFCC_DCT.flags.writeable = False
 
-_mel_cache: dict[int, np.ndarray] = {}
-
 
 def _hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-def mel_filterbank(fft_size: int) -> np.ndarray:
-    """(MEL_FILTERS, fft_size//2) triangular weights over bins 1..K/2, from
-    0 Hz to the Nyquist frequency of `CANONICAL_RATE_HZ`.
-
-    Triangles are linear in mel, so interior bins between the first and
-    last filter centre see weights summing to exactly 1.
-    """
-    if fft_size in _mel_cache:
-        return _mel_cache[fft_size]
-    mel_pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(CANONICAL_RATE_HZ / 2.0),
-                          MEL_FILTERS + 2)
-    bin_mels = _hz_to_mel(dsp.bin_frequencies(fft_size))
-    bank = np.zeros((MEL_FILTERS, fft_size // 2))
-    for m in range(MEL_FILTERS):
-        lo, mid, hi = mel_pts[m], mel_pts[m + 1], mel_pts[m + 2]
-        up = (bin_mels - lo) / (mid - lo)
-        down = (hi - bin_mels) / (hi - mid)
-        bank[m] = np.clip(np.minimum(up, down), 0.0, 1.0)
-    _mel_cache[fft_size] = bank
+def _mel_bank() -> np.ndarray:
+    pts = np.linspace(_hz_to_mel(0.0), _hz_to_mel(CANONICAL_RATE_HZ / 2.0),
+                      MEL_FILTERS + 2)[:, None]
+    lo, mid, hi = pts[:-2], pts[1:-1], pts[2:]  # each filter's edges and centre
+    bin_mels = _hz_to_mel(dsp.bin_frequencies(OTHER_FRAME_MS))
+    bank = np.clip(np.minimum((bin_mels - lo) / (mid - lo),
+                              (hi - bin_mels) / (hi - mid)), 0.0, 1.0)
+    bank.flags.writeable = False
     return bank
+
+
+# Triangles over the bins of a `dsp.OTHER_FRAME_MS` spectrum, linear in mel, so
+# bins between the first and last filter centre see weights summing to exactly 1.
+MEL_BANK = _mel_bank()
 
 
 def mfcc_rows(frames: np.ndarray) -> np.ndarray:
@@ -324,8 +319,7 @@ def mfcc_rows(frames: np.ndarray) -> np.ndarray:
     emphasized = frames.copy()
     emphasized[:, 1:] -= PRE_EMPHASIS * frames[:, :-1]
     mags = dsp.magnitude_spectra(emphasized)
-    bank = mel_filterbank(2 * mags.shape[1])
-    energies = mags ** 2 @ bank.T
+    energies = mags ** 2 @ MEL_BANK.T
     logs = np.log(np.maximum(energies, LOG_FLOOR))
     return logs @ MFCC_DCT
 

@@ -12,7 +12,7 @@ peak ~= mean and hence probability ~= 0.  `track_periods` marks the
 glottal cycles of every voiced frame of a stack at once, stepping all rows
 mark by mark, and returns their periods and cycle amplitudes as padded
 rows with a per-row period count.  The analysis settings are module
-constants.
+constants, and the SHS tables (`SHS_*`) read-only constants built at import.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
 from .corpus import CANONICAL_RATE_HZ
 
 __all__ = [
@@ -59,43 +60,37 @@ class UnvoicedFrameError(ValueError):
     pass
 
 
-class _ShsKernel:
-    """Precomputed grid and interpolation weights for spectra of `nbins`
-    columns at `CANONICAL_RATE_HZ`."""
-
-    def __init__(self, nbins: int):
-        bin_hz = CANONICAL_RATE_HZ / (2 * nbins)
-        n_oct = np.log2(F_MAX_HZ / F_MIN_HZ)
-        grid_n = int(np.ceil(n_oct * POINTS_PER_OCTAVE)) + 1
-        self.log_step = n_oct / (grid_n - 1)
-        self.grid_hz = F_MIN_HZ * 2.0 ** (np.arange(grid_n) * self.log_step)
-        weights = np.zeros((grid_n, nbins))
-        for h in range(1, NUM_HARMONICS + 1):
-            f = h * self.grid_hz
-            w = COMPRESSION ** (h - 1) * _arctan_weight(f)
-            pos = f / bin_hz - 1.0  # stored bins start at bin 1
-            ok = (pos >= 0.0) & (pos <= nbins - 1)
-            rows = np.nonzero(ok)[0]
-            j0 = np.floor(pos[ok]).astype(np.intp)
-            frac = pos[ok] - j0
-            np.add.at(weights, (rows, j0), w[ok] * (1.0 - frac))
-            np.add.at(weights, (rows, np.minimum(j0 + 1, nbins - 1)), w[ok] * frac)
-        self.weights = weights
-        # Response to a flat spectrum; used to equalize before the voicing readout.
-        self.flat_response = weights.sum(axis=1)
-
-
-_kernel_cache: dict[int, _ShsKernel] = {}
+def _shs_tables(nbins: int):
+    """The log-frequency grid, its step in octaves, the weights of each
+    harmonic of each grid point on `nbins` spectrum columns at
+    `CANONICAL_RATE_HZ`, and their response to a flat spectrum."""
+    bin_hz = CANONICAL_RATE_HZ / (2 * nbins)
+    n_oct = np.log2(F_MAX_HZ / F_MIN_HZ)
+    grid_n = int(np.ceil(n_oct * POINTS_PER_OCTAVE)) + 1
+    log_step = n_oct / (grid_n - 1)
+    grid_hz = F_MIN_HZ * 2.0 ** (np.arange(grid_n) * log_step)
+    weights = np.zeros((grid_n, nbins))
+    for h in range(1, NUM_HARMONICS + 1):
+        f = h * grid_hz
+        rolloff = np.clip(0.5 + np.arctan(3.0 * np.log2(f / ROLLOFF_HZ)) / np.pi, 0.0, 1.0)
+        w = COMPRESSION ** (h - 1) * rolloff
+        pos = f / bin_hz - 1.0  # stored bins start at bin 1
+        ok = (pos >= 0.0) & (pos <= nbins - 1)
+        rows = np.nonzero(ok)[0]
+        j0 = np.floor(pos[ok]).astype(np.intp)
+        frac = pos[ok] - j0
+        np.add.at(weights, (rows, j0), w[ok] * (1.0 - frac))
+        np.add.at(weights, (rows, np.minimum(j0 + 1, nbins - 1)), w[ok] * frac)
+    flat_response = weights.sum(axis=1)
+    for table in (grid_hz, weights, flat_response):
+        table.flags.writeable = False
+    return grid_hz, log_step, weights, flat_response
 
 
-def _arctan_weight(f: np.ndarray) -> np.ndarray:
-    return np.clip(0.5 + np.arctan(3.0 * np.log2(f / ROLLOFF_HZ)) / np.pi, 0.0, 1.0)
-
-
-def _kernel(nbins: int) -> _ShsKernel:
-    if nbins not in _kernel_cache:
-        _kernel_cache[nbins] = _ShsKernel(nbins)
-    return _kernel_cache[nbins]
+# For the spectra of `dsp.PROSODIC_FRAME_MS` frames.  The flat response
+# equalises the sum before the voicing readout.
+SHS_GRID_HZ, SHS_LOG_STEP, SHS_WEIGHTS, SHS_FLAT_RESPONSE = _shs_tables(
+    dsp.default_fft_size(dsp.samples_for_ms(dsp.PROSODIC_FRAME_MS)) // 2)
 
 
 def _vertex_offset(values: np.ndarray, rows: np.ndarray,
@@ -115,7 +110,7 @@ def _vertex_offset(values: np.ndarray, rows: np.ndarray,
 
 def shs_batch(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f0 (Hz at `CANONICAL_RATE_HZ`) and voicing probability for a stack
-    of spectra from `dsp.magnitude_spectra`.
+    of `dsp.magnitude_spectra` of `dsp.PROSODIC_FRAME_MS` frames.
 
     The f0 of a row is the argmax of its subharmonic sum, moved by the
     vertex of the parabola through the argmax and its two neighbours (at
@@ -123,17 +118,20 @@ def shs_batch(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a flat top).  The voicing probability is 1 - mean/peak of the
     equalised sum, peak taken at the same argmax, clamped to [0, 1].
     Returns (f0_hz, voicing_prob) arrays of length n; degenerate
-    (all-zero) rows get 0 in both.
+    (all-zero) rows get 0 in both.  Raises ValueError for spectra of any
+    other width.
     """
     magnitudes = np.atleast_2d(magnitudes)
-    kernel = _kernel(magnitudes.shape[1])
-    s = magnitudes @ kernel.weights.T  # (n, grid)
+    if magnitudes.shape[1] != SHS_WEIGHTS.shape[1]:
+        raise ValueError(f"SHS reads spectra of {SHS_WEIGHTS.shape[1]} bins, "
+                         f"not {magnitudes.shape[1]}")
+    s = magnitudes @ SHS_WEIGHTS.T  # (n, grid)
     rows = np.arange(s.shape[0])
     idx = np.argmax(s, axis=1)
     live = s[rows, idx] > 0.0
-    f0 = kernel.grid_hz[idx] * 2.0 ** (_vertex_offset(s, rows, idx) * kernel.log_step)
+    f0 = SHS_GRID_HZ[idx] * 2.0 ** (_vertex_offset(s, rows, idx) * SHS_LOG_STEP)
 
-    s_eq = s / kernel.flat_response
+    s_eq = s / SHS_FLAT_RESPONSE
     ratio = np.divide(s_eq.mean(axis=1), s_eq[rows, idx], out=np.ones(rows.size),
                       where=live)
     return np.where(live, f0, 0.0), np.clip(1.0 - ratio, 0.0, 1.0)

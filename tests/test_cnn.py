@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import struct
@@ -748,13 +749,32 @@ def test_conv_bound_sees_every_input_value(kernel_len, frames):
 # 0.5 s pulse train made without numpy.random (which imports hashlib through
 # `secrets`); the model file argv[1] loaded, decided on and saved to argv[2];
 # then one training step.  It prints the scipy and _hashlib modules loaded
-# before the step, then whether the step loaded scipy's BLAS.
+# before the step, then whether the step loaded scipy's BLAS, then the
+# globals of `lctid` modules that those calls rebound or resized (by
+# identity, and by length for a dict, list or set), then the writeable and
+# the read-only module-level arrays.
 _GUARD_SCRIPT = """\
 import sys
+from types import MappingProxyType
 import numpy as np
 import lctid.cli
 from lctid import cnn, corpus, features
 
+def module_state():
+    return {f"{name}.{k}": (id(v), len(v) if isinstance(v, (dict, list, set)) else None)
+            for name, mod in list(sys.modules.items()) if name.split(".")[0] == "lctid"
+            for k, v in vars(mod).items() if not k.startswith("__")}
+
+def module_arrays():
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] == "lctid":
+            for k, v in vars(mod).items():
+                values = v.items() if isinstance(v, MappingProxyType) else [(None, v)]
+                for key, a in values:
+                    if isinstance(a, np.ndarray):
+                        yield f"{name}.{k}" + ("" if key is None else f"[{key}]"), a
+
+before = module_state()
 t = np.arange(8000) / corpus.CANONICAL_RATE_HZ
 x = 0.5 * np.sin(2 * np.pi * 180.0 * t) ** 15 + 0.01 * np.sin(2 * np.pi * 3100.0 * t * t)
 m = features.extract_matrix(corpus.Waveform(x, corpus.CANONICAL_RATE_HZ), "all")
@@ -765,6 +785,10 @@ cnn.save(model, norm, sys.argv[2])
 print(sorted(k for k in sys.modules if k.split(".")[0] in ("scipy", "_hashlib")))
 cnn.train_step(model, segs, [0], 0.01, np.random.default_rng(0))
 print("scipy.linalg" in sys.modules)
+after = module_state()
+print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)))
+print([k for k, a in module_arrays() if a.flags.writeable])
+print([k for k, a in module_arrays() if not a.flags.writeable])
 """
 
 
@@ -772,6 +796,8 @@ def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
     # Extraction and inference run on numpy alone: scipy (27 MB resident
     # for scipy.fft, 28 MB for scipy.linalg.blas) and OpenSSL's libcrypto
     # (behind _hashlib) load only for a training step or a run record.
+    # No call fills module state: every analysis table is a read-only
+    # constant built at import, and no module keeps a cache.
     model = cnn.build("CA01", input_frames=40, in_channels=len(ALL_IDS))
     norm = NormStats(mean=np.zeros(len(ALL_IDS)), std=np.ones(len(ALL_IDS)),
                      channel_ids=ALL_IDS)
@@ -787,6 +813,13 @@ def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
     # the guard is not vacuous: the first training step does load scipy
     assert out[1] == "True"
     assert (tmp_path / "out.lct").read_bytes() == (tmp_path / "in.lct").read_bytes()
+    assert out[2] == "[]"
+    assert out[3] == "[]"
+    assert set(ast.literal_eval(out[4])) >= {
+        "lctid.dsp.WINDOWS[320]", "lctid.dsp.WINDOWS[960]", "lctid.pitch.SHS_GRID_HZ",
+        "lctid.pitch.SHS_WEIGHTS", "lctid.pitch.SHS_FLAT_RESPONSE",
+        "lctid.features.SHARP_BARKS", "lctid.features.MEL_BANK",
+        "lctid.features.MFCC_DCT"}
 
 
 def _float_arrays(value):

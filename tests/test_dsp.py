@@ -69,6 +69,12 @@ class TestFraming:
         assert dsp.magnitude_spectra(np.zeros((2, 960))).shape == (2, 512)
         assert dsp.magnitude_spectra(np.zeros((2, 320))).shape == (2, 256)
 
+    def test_spectra_only_of_the_analysis_frames(self):
+        # the windows are built at import for the two frame lengths only
+        assert sorted(dsp.WINDOWS) == [320, 960]
+        with pytest.raises(ValueError, match="no window for 480-sample frames, only 960 or 320"):
+            dsp.magnitude_spectra(np.zeros((2, 480)))
+
 
 class TestMagnitudeSpectrum:
     def test_zero_frame(self):
@@ -83,7 +89,7 @@ class TestMagnitudeSpectrum:
         mags = dsp.magnitude_spectra(np.sin(2 * np.pi * f * t)[None, :])
         # stored index m-1 corresponds to bin m (DC excluded)
         assert int(np.argmax(mags[0])) == m - 1
-        assert dsp.bin_frequencies(512)[m - 1] == pytest.approx(f)
+        assert dsp.bin_frequencies(dsp.OTHER_FRAME_MS)[m - 1] == pytest.approx(f)
 
     def test_parseval_against_direct_dft(self):
         rng = np.random.default_rng(1)

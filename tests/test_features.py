@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,8 @@ from lctid import cli, corpus, dsp, features, pitch
 from lctid.corpus import Waveform
 from lctid.features import (FeatureMatrix, apply_norm, energy_rows,
                             extract_matrix, fit_norm, flux_rows, hnr, jitter,
-                            jitter_derivative, mel_filterbank, mfcc_rows,
-                            resolve_featureset, sharpness_rows, shimmer,
-                            zcr_rows)
+                            jitter_derivative, mfcc_rows, resolve_featureset,
+                            sharpness_rows, shimmer, zcr_rows)
 from lctid.pitch import PeriodSequence
 from conftest import SR, harmonic_tone
 
@@ -253,7 +253,7 @@ def log_filter_energies(frames):
     emphasized = frames.copy()
     emphasized[:, 1:] -= features.PRE_EMPHASIS * frames[:, :-1]
     mags = dsp.magnitude_spectra(emphasized)
-    energies = mags ** 2 @ mel_filterbank(2 * mags.shape[1]).T
+    energies = mags ** 2 @ features.MEL_BANK.T
     return np.log(np.maximum(energies, features.LOG_FLOOR))
 
 
@@ -292,8 +292,20 @@ class TestMfcc:
         tone_mean = mfcc_rows(tones).mean(axis=0)
         assert np.linalg.norm(noise_mean - tone_mean) > 1.0
 
+    def test_filterbank_is_the_per_filter_loop(self):
+        # the bank is built by broadcasting; each triangle, one at a time,
+        # takes the same operations on the same numbers
+        pts = np.linspace(features._hz_to_mel(0.0), features._hz_to_mel(SR / 2), 28)
+        bin_mels = features._hz_to_mel(np.arange(1, 257) * (SR / 512))
+        for m in range(features.MEL_FILTERS):
+            lo, mid, hi = pts[m], pts[m + 1], pts[m + 2]
+            up = (bin_mels - lo) / (mid - lo)
+            down = (hi - bin_mels) / (hi - mid)
+            assert np.array_equal(features.MEL_BANK[m],
+                                  np.clip(np.minimum(up, down), 0.0, 1.0))
+
     def test_filterbank_partition(self):
-        bank = mel_filterbank(512)
+        bank = features.MEL_BANK
         colsum = bank.sum(axis=0)
         pts = np.linspace(features._hz_to_mel(0.0), features._hz_to_mel(SR / 2), 28)
         lo_c = 700 * (10 ** (pts[1] / 2595) - 1)
@@ -393,12 +405,16 @@ class TestExtractMatrix:
         assert calls == {"track_periods": 1, "hnr": 1}
 
     def test_all_extraction_peak_memory(self):
-        # The peak is the windowed 60 ms stack plus its complex spectra
-        # (about 4.5 MB for 2.875 s); a copied frame stack, or whole-stack
-        # temporaries kept alive together, push it past the bound.
+        # The peak of the first extraction is the windowed 60 ms stack plus
+        # its complex spectra (about 4.5 MB for 2.875 s); a table built on
+        # first use, a copied frame stack, or whole-stack temporaries kept
+        # alive together push it past the bound.  numpy itself imports
+        # numpy.fft and numpy.ma (for np.unique) on first use, about 1.1 MB
+        # traced, so they are imported before the trace.
+        for lazy in ("numpy.fft", "numpy.ma"):
+            importlib.import_module(lazy)
         rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
         w = Waveform(corpus._synth_utterance(rng, "CT", 2.875), SR)
-        extract_matrix(w, "all")  # the SHS kernel and mel bank are cached
         tracemalloc.start()
         try:
             extract_matrix(w, "all")

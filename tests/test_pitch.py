@@ -53,19 +53,18 @@ class TestShsEstimate:
         mags[rng.uniform(0.0, 1.0, (n, 512)) >= density] = 0.0
         mags[np.array(zero_rows)] = 0.0
         f0, vprob = pitch.shs_batch(mags)
-        kernel = pitch._kernel(512)
         for r in range(n):
-            s = kernel.weights @ mags[r]
+            s = pitch.SHS_WEIGHTS @ mags[r]
             if not s.max() > 0.0:
                 assert f0[r] == 0.0 and vprob[r] == 0.0
                 continue
             i = int(np.argmax(s))
-            eq = s / kernel.flat_response
+            eq = s / pitch.SHS_FLAT_RESPONSE
             assert vprob[r] == pytest.approx(
                 np.clip(1.0 - eq.mean() / eq[i], 0.0, 1.0), abs=1e-12)
             # f0 sits at the vertex of the parabola through the argmax and
             # its neighbours, in grid steps of log frequency
-            step = np.log2(f0[r] / kernel.grid_hz[i]) / kernel.log_step
+            step = np.log2(f0[r] / pitch.SHS_GRID_HZ[i]) / pitch.SHS_LOG_STEP
             assert abs(step) <= 0.5 + 1e-9
             if 0 < i < s.size - 1:
                 a, b, _ = np.polyfit([-1.0, 0.0, 1.0], s[i - 1:i + 2], 2)
@@ -99,6 +98,13 @@ class TestShsEstimate:
         assert f0s[0] == 0.0
         assert vps[0] == 0.0
         assert f0s[1] > 0.0
+
+    def test_refuses_spectra_of_other_frames(self):
+        # the tables are built at import for the 512 bins of a 60 ms frame;
+        # a 20 ms frame's 256-bin spectrum is refused, not given a new kernel
+        assert pitch.SHS_WEIGHTS.shape[1] == dsp.magnitude_spectra(np.zeros(960)).shape[1]
+        with pytest.raises(ValueError, match="512 bins, not 256"):
+            pitch.shs_batch(np.ones((2, 256)))
 
     def test_scale_invariance(self):
         x = harmonic_tone(250.0, 5, seed=3)
