@@ -18,9 +18,11 @@ file that holds it goes before the subcommand.  ``train`` writes
 error, and its results file leaves that setting out.
 
 ``synth`` writes 16 kHz PCM16 WAVs.  Every command that extracts features
-decodes its WAVs at the canonical 16 kHz and fails on any other rate;
-there is no resampler.  Extraction runs one utterance at a time in the
-calling thread.
+decodes its WAVs with ``corpus.read_wav``, which fails on any rate but the
+canonical 16 kHz; there is no resampler.  ``extract`` logs such a failure
+per utterance and goes on.  ``train`` and ``ablate`` share one prologue
+(config, manifest, ``--balanced``, channels, dataset).  Extraction runs one
+utterance at a time in the calling thread.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -40,9 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cnn, dsp, experiments, features
-from .corpus import (CorpusError, CorpusManifest, SynthSpec,
-                     derive_balanced_subset, load_audio, load_manifest,
-                     read_canonical_wav, synth_corpus)
+from .corpus import (CorpusError, SynthSpec, derive_balanced_subset,
+                     load_audio, load_manifest, read_wav, synth_corpus)
 from .features import extract_matrix, resolve_featureset
 
 logger = logging.getLogger("lctid")
@@ -100,12 +101,17 @@ def _unread_split(args) -> str:
     return "test_fraction" if getattr(args, "method", None) == "rfe" else "folds"
 
 
-def _load_balanced(args, config: experiments.ExperimentConfig) -> CorpusManifest:
+def _prepare_run(args) -> tuple[experiments.ExperimentConfig, tuple[str, ...],
+                                 experiments.Dataset]:
+    """The config, channels and dataset of a `train` or `ablate` run: the
+    manifest, cut to `--balanced` hours per class if given, extracted."""
+    config = _experiment_config(args)
     manifest = load_manifest(args.manifest)
     if args.balanced is not None:
         manifest = derive_balanced_subset(manifest, args.balanced,
                                           config.train.seed)
-    return manifest
+    channels = resolve_featureset(args.features)
+    return config, channels, experiments.prepare_dataset(manifest, channels)
 
 
 _OPTIMIZERS = ("minibatch_gd", "sgd")
@@ -239,7 +245,7 @@ def cmd_plot(args) -> int:
     panels = []
     csv_lines = ["utterance,frame,time_s,value"]
     for tag, wav in (("A", args.wav_a), ("B", args.wav_b)):
-        wave = read_canonical_wav(wav)
+        wave = read_wav(wav)
         mat = extract_matrix(wave, [feature_id], source_id=Path(wav).stem)
         vals = mat.values[0]
         times = np.arange(vals.size) * dsp.HOP_MS / 1000.0
@@ -256,10 +262,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _experiment_config(args)
-    manifest = _load_balanced(args, config)
-    channels = resolve_featureset(args.features)
-    dataset = experiments.prepare_dataset(manifest, channels)
+    config, channels, dataset = _prepare_run(args)
     train_idx, test_idx = experiments.stratified_holdout(
         dataset.labels, config.test_fraction, config.split_seed)
     report, model, aux = experiments.train_and_evaluate(
@@ -295,10 +298,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _experiment_config(args)
-    manifest = _load_balanced(args, config)
-    channels = resolve_featureset(args.features)
-    dataset = experiments.prepare_dataset(manifest, channels)
+    config, channels, dataset = _prepare_run(args)
     if args.method == "rfe":
         table = experiments.rfe_round(channels, dataset, config)
     else:
@@ -400,8 +400,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CorpusError, cnn.ModelFileError, cnn.ShapeMismatchError,
-            cnn.TrainingDivergedError, ValueError, KeyError, OSError) as exc:
+    except (CorpusError, cnn.ModelFileError, cnn.TrainingDivergedError,
+            ValueError, KeyError, OSError) as exc:
         logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

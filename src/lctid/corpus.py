@@ -2,9 +2,11 @@
 
 Manifest format: UTF-8, tab-separated, header ``id<TAB>path<TAB>dialect``
 with dialect in {LT, CT}.  Audio: RIFF/WAVE, read as PCM16 or IEEE float32,
-mono or stereo, and written as mono PCM16.  16 kHz is canonical: other rates
-are rejected at pipeline entry (there is deliberately no resampler), and the
-synthetic corpus is written at 16 kHz only.
+mono or stereo, and written as mono PCM16.  16 kHz is canonical: `read_wav`,
+the one decoder, rejects any other rate (there is deliberately no resampler),
+while `wav_duration_s` reads a header at any rate, so a manifest of other
+rates loads and each utterance fails at decode.  The synthetic corpus is
+written at 16 kHz only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "read_wav",
     "write_wav",
     "wav_duration_s",
-    "read_canonical_wav",
     "load_audio",
     "derive_balanced_subset",
     "synth_corpus",
@@ -177,15 +178,26 @@ def _parse_wav(data: bytes, path) -> tuple[int, int, int, bytes]:
     return format_code, channels, rate, payload
 
 
-def read_wav(path: str | Path) -> Waveform:
-    """Decode a PCM16 or float32 WAV; stereo is downmixed by channel average.
-
-    PCM16 values are scaled by 1/32768 so output lies in [-1, 1).
-    """
-    path = Path(path)
+def _parse_file(path: Path) -> tuple[int, int, int, bytes]:
+    """`_parse_wav` of the file at `path`, which must exist."""
     if not path.is_file():
         raise CorpusError(f"audio file not found: {path}")
-    format_code, channels, rate, payload = _parse_wav(path.read_bytes(), path)
+    return _parse_wav(path.read_bytes(), path)
+
+
+def read_wav(path: str | Path) -> Waveform:
+    """Decode a PCM16 or float32 WAV at `CANONICAL_RATE_HZ`; stereo is
+    downmixed by channel average.
+
+    PCM16 values are scaled by 1/32768 so output lies in [-1, 1).  Raises
+    CorpusError for any other rate: there is no resampler.  Every command
+    that extracts features decodes through here.
+    """
+    path = Path(path)
+    format_code, channels, rate, payload = _parse_file(path)
+    if rate != CANONICAL_RATE_HZ:
+        raise CorpusError(f"{path}: sample rate {rate} Hz; "
+                          f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
     if format_code == _FMT_PCM:
         raw = np.frombuffer(payload, dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0
@@ -200,11 +212,8 @@ def read_wav(path: str | Path) -> Waveform:
 
 
 def wav_duration_s(path: str | Path) -> float:
-    """Duration from the WAV header without decoding samples."""
-    path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"audio file not found: {path}")
-    format_code, channels, rate, payload = _parse_wav(path.read_bytes(), path)
+    """Duration from the WAV header, at any rate, without decoding samples."""
+    format_code, channels, rate, payload = _parse_file(Path(path))
     bytes_per = 2 if format_code == _FMT_PCM else 4
     return len(payload) / (bytes_per * channels * rate)
 
@@ -221,22 +230,9 @@ def write_wav(path: str | Path, waveform: Waveform) -> None:
     Path(path).write_bytes(blob)
 
 
-def read_canonical_wav(path: str | Path) -> Waveform:
-    """Decode a WAV and reject any rate but CANONICAL_RATE_HZ.
-
-    Every command that extracts features decodes through here.
-    """
-    w = read_wav(path)
-    if w.sample_rate_hz != CANONICAL_RATE_HZ:
-        raise CorpusError(
-            f"{path}: sample rate {w.sample_rate_hz} Hz; "
-            f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
-    return w
-
-
 def load_audio(record: UtteranceRecord) -> Waveform:
     """Decode an utterance at the canonical sample rate."""
-    return read_canonical_wav(record.audio_path)
+    return read_wav(record.audio_path)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +374,7 @@ def synth_corpus(spec: SynthSpec, seed: int) -> CorpusManifest:
         write_wav(wav_path, Waveform(samples, CANONICAL_RATE_HZ))
         records.append(UtteranceRecord(id=uid, audio_path=wav_path.name,
                                        dialect=dialect,
-                                       duration_s=wav_duration_s(wav_path)))
+                                       duration_s=samples.size / CANONICAL_RATE_HZ))
     save_manifest(CorpusManifest(records=tuple(records)), out / "manifest.tsv")
     logger.info("synthesized %d utterances under %s", len(records), out)
     return CorpusManifest(records=tuple(

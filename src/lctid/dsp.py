@@ -13,6 +13,9 @@ from __future__ import annotations
 from types import MappingProxyType
 
 import numpy as np
+# numpy loads numpy.fft on first use; loading it with the program keeps
+# any call from loading a module
+from numpy.fft import rfft
 
 from .corpus import CANONICAL_RATE_HZ
 
@@ -94,7 +97,7 @@ def magnitude_spectra(frames: np.ndarray) -> np.ndarray:
     n, fft_size = frames.shape[1], default_fft_size(frames.shape[1])
     if n not in WINDOWS:
         raise ValueError(f"no window for {n}-sample frames, only {' or '.join(map(str, WINDOWS))}")
-    spectra = np.fft.rfft(frames * WINDOWS[n], n=fft_size, axis=1)
+    spectra = rfft(frames * WINDOWS[n], n=fft_size, axis=1)
     return np.abs(spectra[:, 1:fft_size // 2 + 1])
 
 

@@ -53,9 +53,7 @@ class ClassMetrics:
     tn: int
 
     def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "tp": self.tp, "fp": self.fp,
-                "fn": self.fn, "tn": self.tn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ class EvalReport:
     total: int
 
     def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "total": self.total,
-                "per_class": {d: m.to_dict() for d, m in self.per_class.items()}}
+        return asdict(self)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -363,21 +360,34 @@ def evaluate(model: cnn.Model, norm: NormStats,
 # ---------------------------------------------------------------------------
 # Ablation harnesses
 
-def _mean_kfold_accuracy(dataset: Dataset, channels: Sequence[str],
-                         config: ExperimentConfig) -> float:
-    accuracies = []
-    for train_idx, val_idx in kfold_indices(dataset.labels, config.folds,
-                                            config.split_seed):
-        report, _, _ = train_and_evaluate(dataset, channels, config,
-                                          train_idx, val_idx)
-        accuracies.append(report.accuracy)
-    return float(np.mean(accuracies))
-
-
-def _check_in_dataset(feats: Sequence[str], dataset: Dataset) -> None:
+def _ablation_ranking(method: str, features: Iterable[str], dataset: Dataset,
+                      config: ExperimentConfig) -> RankingTable:
+    """The loop of `rfe_round` ("rfe") and `ife` ("ife"): each feature is
+    scored once, by the mean accuracy over the method's splits of a model
+    trained without it ("rfe", k folds) or on it alone ("ife", one held-out
+    split), then ranked.  Every check runs before any split or training."""
+    rfe = method == "rfe"
+    feats = list(dict.fromkeys(features))
+    if len(feats) < (2 if rfe else 1):
+        raise ValueError("RFE needs at least 2 features" if rfe
+                         else "IFE needs at least 1 feature")
     missing = [f for f in feats if f not in dataset.channel_ids]
     if missing:
         raise KeyError(f"features not in dataset: {missing}")
+    if rfe:
+        splits = kfold_indices(dataset.labels, config.folds, config.split_seed)
+    else:
+        splits = [stratified_holdout(dataset.labels, config.test_fraction,
+                                     config.split_seed)]
+    acc_map = {}
+    for f in feats:
+        channels = [c for c in feats if c != f] if rfe else [f]
+        acc_map[f] = float(np.mean([
+            train_and_evaluate(dataset, channels, config, tr, te)[0].accuracy
+            for tr, te in splits]))
+        logger.info("rfe: ablated %s -> accuracy %.4f" if rfe
+                    else "ife: %s alone -> accuracy %.4f", f, acc_map[f])
+    return _rank_accuracies(acc_map, method)
 
 
 def rfe_round(features: Iterable[str], dataset: Dataset,
@@ -388,36 +398,13 @@ def rfe_round(features: Iterable[str], dataset: Dataset,
     k-fold mean accuracy; the lower the accuracy without it, the more the
     feature mattered (rank 1).  Exactly one evaluation per feature.
     """
-    feats = list(dict.fromkeys(features))
-    if len(feats) < 2:
-        raise ValueError("RFE needs at least 2 features")
-    _check_in_dataset(feats, dataset)
-    acc_map = {}
-    for f in feats:
-        rest = [c for c in feats if c != f]
-        acc = _mean_kfold_accuracy(dataset, rest, config)
-        acc_map[f] = acc
-        logger.info("rfe: ablated %s -> accuracy %.4f", f, acc)
-    return _rank_accuracies(acc_map, "rfe")
+    return _ablation_ranking("rfe", features, dataset, config)
 
 
 def ife(features: Iterable[str], dataset: Dataset,
         config: ExperimentConfig) -> RankingTable:
     """Independent feature evaluation: one train/evaluate per single feature."""
-    feats = list(dict.fromkeys(features))
-    if not feats:
-        raise ValueError("IFE needs at least 1 feature")
-    _check_in_dataset(feats, dataset)
-    train_idx, test_idx = stratified_holdout(dataset.labels,
-                                             config.test_fraction,
-                                             config.split_seed)
-    acc_map = {}
-    for f in feats:
-        report, _, _ = train_and_evaluate(dataset, [f], config,
-                                          train_idx, test_idx)
-        acc_map[f] = report.accuracy
-        logger.info("ife: %s alone -> accuracy %.4f", f, report.accuracy)
-    return _rank_accuracies(acc_map, "ife")
+    return _ablation_ranking("ife", features, dataset, config)
 
 
 # ---------------------------------------------------------------------------

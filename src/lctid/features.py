@@ -166,43 +166,43 @@ def _row_means(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     own entries, in the order np.mean sums a row of that length.
     """
     out = np.zeros(a.shape[0])
-    for k in np.unique(counts[counts > 0]):
+    for k in range(1, int(counts.max(initial=0)) + 1):
         rows = counts == k
-        out[rows] = a[rows, :k].mean(axis=1)
+        if rows.any():
+            out[rows] = a[rows, :k].mean(axis=1)
     return out
 
 
-def _change_over_mean(change: np.ndarray, lost: int, values: np.ndarray,
-                      counts: np.ndarray, min_count: int) -> np.ndarray:
-    """Mean of each row's first counts[i] - lost `change` entries over the
-    mean of its first counts[i] `values`; 0 for a row with fewer than
-    `min_count` values or a mean <= 0."""
+def _relative_change(values: np.ndarray, counts: np.ndarray,
+                     order: int) -> np.ndarray:
+    """Mean of the `order`-th absolute differences (|diff| taken `order`
+    times) of each row's first counts[i] values over the mean of those
+    values; 0 for a row with fewer than `order` + 2 values or a mean <= 0."""
+    change = values
+    for _ in range(order):
+        change = np.abs(np.diff(change, axis=1))
     scale = _row_means(values, counts)
-    return np.divide(_row_means(change, counts - lost), scale,
+    return np.divide(_row_means(change, counts - order), scale,
                      out=np.zeros(values.shape[0]),
-                     where=(counts >= min_count) & (scale > 0.0))
+                     where=(counts >= order + 2) & (scale > 0.0))
 
 
 def jitter(p: pitch.PeriodSequence) -> np.ndarray:
     """Mean absolute successive period difference over the mean period, per
     row; 0 for a row with fewer than 3 periods."""
-    first = np.abs(np.diff(p.periods_s, axis=1))
-    return _change_over_mean(first, 1, p.periods_s, p.counts, 3)
+    return _relative_change(p.periods_s, p.counts, 1)
 
 
 def jitter_derivative(p: pitch.PeriodSequence) -> np.ndarray:
     """Mean absolute difference of successive absolute period differences
     over the mean period, per row; 0 for a row with fewer than 4 periods."""
-    first = np.abs(np.diff(p.periods_s, axis=1))
-    second = np.abs(np.diff(first, axis=1))
-    return _change_over_mean(second, 2, p.periods_s, p.counts, 4)
+    return _relative_change(p.periods_s, p.counts, 2)
 
 
 def shimmer(p: pitch.PeriodSequence) -> np.ndarray:
     """Mean absolute successive cycle-amplitude difference over the mean
     amplitude, per row; 0 for a row with fewer than 3 periods."""
-    first = np.abs(np.diff(p.peak_amps, axis=1))
-    return _change_over_mean(first, 1, p.peak_amps, p.counts, 3)
+    return _relative_change(p.peak_amps, p.counts, 1)
 
 
 _HNR_CLAMP = (1e-4, 1e4)

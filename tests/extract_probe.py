@@ -2,9 +2,9 @@
 
 Generates the `extract_sweep` benchmark corpus (`benchmarks/lctbench/gen.py`,
 imported read-only) in a temporary directory, decodes every utterance once,
-makes one untimed pass (numpy loads `numpy.fft` and `numpy.ma` on first use,
-and the allocator's pools fill), and then runs `extract_matrix(..., "all")`
-over the corpus `--passes` times.  It prints one JSON object:
+makes one untimed pass (the allocator's pools fill and the CPU caches warm),
+and then runs `extract_matrix(..., "all")` over the corpus `--passes` times.
+It prints one JSON object:
 
 - `ms_per_utt`: wall time per extraction over the timed passes;
 - `minor_faults_per_utt`: minor page faults (`getrusage().ru_minflt`) per

@@ -774,6 +774,7 @@ def module_arrays():
                     if isinstance(a, np.ndarray):
                         yield f"{name}.{k}" + ("" if key is None else f"[{key}]"), a
 
+imported = set(sys.modules)
 before = module_state()
 t = np.arange(8000) / corpus.CANONICAL_RATE_HZ
 x = 0.5 * np.sin(2 * np.pi * 180.0 * t) ** 15 + 0.01 * np.sin(2 * np.pi * 3100.0 * t * t)
@@ -783,6 +784,7 @@ segs = np.ascontiguousarray(m.values[:, :model.input_frames].T)[None]
 cnn.forward_batch(model, np.repeat(segs, 2, axis=0))
 cnn.save(model, norm, sys.argv[2])
 print(sorted(k for k in sys.modules if k.split(".")[0] in ("scipy", "_hashlib")))
+print(sorted(sys.modules.keys() - imported))
 cnn.train_step(model, segs, [0], 0.01, np.random.default_rng(0))
 print("scipy.linalg" in sys.modules)
 after = module_state()
@@ -796,8 +798,10 @@ def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
     # Extraction and inference run on numpy alone: scipy (27 MB resident
     # for scipy.fft, 28 MB for scipy.linalg.blas) and OpenSSL's libcrypto
     # (behind _hashlib) load only for a training step or a run record.
-    # No call fills module state: every analysis table is a read-only
-    # constant built at import, and no module keeps a cache.
+    # Extraction, load, decision and save load no module at all once the
+    # program is imported.  No call fills module state: every analysis
+    # table is a read-only constant built at import, and no module keeps a
+    # cache.
     model = cnn.build("CA01", input_frames=40, in_channels=len(ALL_IDS))
     norm = NormStats(mean=np.zeros(len(ALL_IDS)), std=np.ones(len(ALL_IDS)),
                      channel_ids=ALL_IDS)
@@ -810,12 +814,13 @@ def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
          str(tmp_path / "out.lct")],
         env=env, check=True, capture_output=True, text=True).stdout.split("\n")
     assert out[0] == "[]"
+    assert out[1] == "[]"
     # the guard is not vacuous: the first training step does load scipy
-    assert out[1] == "True"
+    assert out[2] == "True"
     assert (tmp_path / "out.lct").read_bytes() == (tmp_path / "in.lct").read_bytes()
-    assert out[2] == "[]"
     assert out[3] == "[]"
-    assert set(ast.literal_eval(out[4])) >= {
+    assert out[4] == "[]"
+    assert set(ast.literal_eval(out[5])) >= {
         "lctid.dsp.WINDOWS[320]", "lctid.dsp.WINDOWS[960]", "lctid.pitch.SHS_GRID_HZ",
         "lctid.pitch.SHS_WEIGHTS", "lctid.pitch.SHS_FLAT_RESPONSE",
         "lctid.features.SHARP_BARKS", "lctid.features.MEL_BANK",

@@ -159,12 +159,16 @@ class TestWav:
         write_wav(p, Waveform(np.zeros(8000), SR))
         assert wav_duration_s(p) == pytest.approx(0.5)
 
-    def test_load_audio_rejects_other_rates(self, tmp_path):
+    @pytest.mark.parametrize("decode", [
+        read_wav,
+        lambda p: corpus.load_audio(UtteranceRecord(id="x", audio_path=str(p),
+                                                    dialect="LT")),
+    ], ids=["read_wav", "load_audio"])
+    def test_load_audio_rejects_other_rates(self, tmp_path, decode):
         p = tmp_path / "slow.wav"
         write_wav(p, Waveform(np.zeros(8000), 8000))
-        rec = UtteranceRecord(id="x", audio_path=str(p), dialect="LT")
         with pytest.raises(CorpusError, match="sample rate"):
-            corpus.load_audio(rec)
+            decode(p)
 
 
 def _fake_manifest(durations_lt, durations_ct):
@@ -220,6 +224,7 @@ class TestSynthCorpus:
         assert len(manifest.by_dialect("CT")) == 6
         for r in manifest.records:
             assert r.duration_s > 0
+            assert r.duration_s == wav_duration_s(r.audio_path)
         assert load_manifest(tmp_path / "s" / "manifest.tsv") == manifest
 
     def test_byte_identical_given_seed(self, tmp_path):

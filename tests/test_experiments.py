@@ -89,6 +89,22 @@ def test_rfe_ranks_removing_signal_first():
     assert ranks == {"SIG": 1, "NOISE": 2, "NOISE2": 2}
 
 
+@pytest.mark.parametrize("ablate, feats, error, match", [
+    (experiments.rfe_round, ["SIG", "SIG"], ValueError, "RFE needs at least 2 features"),
+    (experiments.rfe_round, ["SIG", "F0"], KeyError, r"features not in dataset: \['F0'\]"),
+    (experiments.ife, [], ValueError, "IFE needs at least 1 feature"),
+    (experiments.ife, ["F0"], KeyError, r"features not in dataset: \['F0'\]"),
+])
+def test_ablation_checks_its_features_before_any_training(monkeypatch, ablate,
+                                                          feats, error, match):
+    def train_and_evaluate(*args, **kwargs):
+        raise AssertionError("trained before the features were checked")
+
+    monkeypatch.setattr(experiments, "train_and_evaluate", train_and_evaluate)
+    with pytest.raises(error, match=match):
+        ablate(feats, synthetic_channel_dataset(), _config())
+
+
 @pytest.mark.parametrize("fraction", [0.0, -3.0, 1.0, float("nan")])
 def test_holdout_rejects_a_fraction_outside_0_1(fraction):
     with pytest.raises(ValueError, match=r"holdout fraction must be in \(0, 1\)"):

@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -408,11 +407,8 @@ class TestExtractMatrix:
         # The peak of the first extraction is the windowed 60 ms stack plus
         # its complex spectra (about 4.5 MB for 2.875 s); a table built on
         # first use, a copied frame stack, or whole-stack temporaries kept
-        # alive together push it past the bound.  numpy itself imports
-        # numpy.fft and numpy.ma (for np.unique) on first use, about 1.1 MB
-        # traced, so they are imported before the trace.
-        for lazy in ("numpy.fft", "numpy.ma"):
-            importlib.import_module(lazy)
+        # alive together push it past the bound, and so does a module that
+        # the first call loads (numpy.fft and numpy.ma were about 1.1 MB).
         rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
         w = Waveform(corpus._synth_utterance(rng, "CT", 2.875), SR)
         tracemalloc.start()
