@@ -27,11 +27,18 @@ those arguments, the channel ids and z-score statistics the model was
 trained on, and the parameters.
 
 A training step commits once.  Each layer keeps its weight gradient as
-the factors (X, G) of XᵀG and stages its biases' update in their
-gradient's array; `apply_update` checks both and writes nothing.  Only
-after every layer has passed does `train_step` write each layer's
-weights in place, W − lr·XᵀG as one BLAS call, and bind its new biases.
-A step that raises writes nothing.
+two factors, its input and its output gradient G, and stages its biases'
+update in their gradient's array; `apply_update` checks both and writes
+nothing.  Only after every layer has passed does `train_step` write each
+layer's weights in place, W − lr·XᵀG as one BLAS call, and bind its new
+biases.  A step that raises writes nothing.  X is a Dense's input and a
+Conv1D's im2col matrix, which holds each input value up to kernel_len
+times: it is built from the kept input just before the layer's BLAS call
+and dropped after it, so a step holds one im2col matrix at a time.  A
+Conv1D forms its input gradient one kernel tap at a time and builds no
+im2col matrix of it either.  One CA01 batch-32 step at (166, 13) traces
+a 10.00 MiB peak this way, and 24.06 MiB when every conv keeps its im2col
+matrix from the forward to the commit and the backward builds its gradient.
 
 A Dense input of 2 to SGEMM_MIN_ROWS - 1 rows is multiplied by one row
 block of the weights at a time, y = x[:, :k] @ W[:k] and then
@@ -97,11 +104,11 @@ class TrainingDivergedError(RuntimeError):
 # Layers.  forward(x, ...) -> (out, cache); backward(grad, cache) -> dx and,
 # for trainable layers, parameter gradients stored into the given dict (with
 # input_grad=False a Conv1D stores them and returns None): the biases' as an
-# array, the weights' as the factors (X, G), whose product XᵀG is the
-# gradient of the weights reshaped to (rows, out channels).
-# X of a Conv1D is its im2col matrix, which holds each input value up to
-# kernel_len times; it also stores its input as "input", which holds the
-# same values, each once.
+# array, the weights' as the factors (x, G), the layer's input and its output
+# gradient as (rows, out channels).  The gradient of the weights reshaped to
+# (rows of X, out channels) is XᵀG, where X is x for a Dense and x's im2col
+# matrix for a Conv1D (`_weight_factors`); X has G's rows and holds the
+# values of x, so max|X| is max|x|.
 
 class Conv1D:
     kind = "conv"
@@ -119,38 +126,51 @@ class Conv1D:
         return self.weights.size + self.biases.size
 
     def forward(self, x):
-        b, t, c = x.shape
+        _, _, c = x.shape
         if c != self.in_channels:
             raise ShapeMismatchError(
                 f"conv expects {self.in_channels} channels, got {c}")
-        # im2col: window (b, t_out, k, c) over x's own buffer, then one copy;
-        # BLAS cannot take the overlapping rows of the window itself
-        x = np.ascontiguousarray(x)
-        sb, st, sc = x.strides
-        t_out = t - self.kernel_len + 1
-        win = np.ndarray((b, t_out, self.kernel_len, c), x.dtype, x, 0,
-                         (sb, st, st, sc))
-        cols = np.ascontiguousarray(win).reshape(b, t_out, self.kernel_len * c)
+        cols = _im2col(x, self.kernel_len)
         out = cols @ self.weights.reshape(-1, self.out_channels) + self.biases
-        return out, (x, cols)
+        return out, x
 
     def backward(self, grad, cache, grads_out: dict, *, input_grad: bool = True):
-        x, cols = cache
-        grads_out["weights"] = (cols.reshape(-1, cols.shape[-1]),
-                                grad.reshape(-1, self.out_channels))
-        grads_out["input"] = x
+        grads_out["weights"] = (cache, grad.reshape(-1, self.out_channels))
         grads_out["biases"] = grad.sum(axis=(0, 1))
         if not input_grad:
             return None
-        w_mat = self.weights.reshape(-1, self.out_channels)
-        dcols = (grad @ w_mat.T).reshape(*grad.shape[:2], self.kernel_len, -1)
-        dx = np.zeros(x.shape, dtype=grad.dtype)
-        for dt in range(self.kernel_len):
-            dx[:, dt:dt + grad.shape[1], :] += dcols[:, :, dt, :]
+        # tap dt's share of the im2col gradient lands on frames dt..dt+t_out-1;
+        # grad @ W[dt]ᵀ rounds as that tap's columns of grad @ W_matᵀ
+        dx = np.zeros(cache.shape, dtype=grad.dtype)
+        t_out = grad.shape[1]
+        for dt, w in enumerate(self.weights):
+            dx[:, dt:dt + t_out] += grad @ w.T
         return dx
 
     def apply_update(self, grads: dict, lr: float):
         _gradient_step(self, grads, lr)
+
+
+def _im2col(x: np.ndarray, kernel_len: int) -> np.ndarray:
+    """(b, t, c) -> (b, t - kernel_len + 1, kernel_len * c), C-contiguous:
+    row t holds frames t..t + kernel_len - 1, each frame's channels in
+    order.  One copy of a window (b, t_out, k, c) over x's own buffer; BLAS
+    cannot take the overlapping rows of the window itself."""
+    x = np.ascontiguousarray(x)
+    b, t, c = x.shape
+    sb, st, sc = x.strides
+    t_out = t - kernel_len + 1
+    win = np.ndarray((b, t_out, kernel_len, c), x.dtype, x, 0, (sb, st, st, sc))
+    return np.ascontiguousarray(win).reshape(b, t_out, kernel_len * c)
+
+
+def _weight_factors(layer, grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (X, G) of a layer's weight gradient XᵀG, both 2-D: for
+    a Conv1D, X is the im2col matrix of its stored input."""
+    x, g = grads["weights"]
+    if isinstance(layer, Conv1D):
+        x = _im2col(x, layer.kernel_len)
+    return x.reshape(len(g), -1), g
 
 
 def _gradient_step(layer, grads: dict, lr: float) -> None:
@@ -162,8 +182,8 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
     dtype (a Python float rate does not promote it).  The weights are
     written later, in place, from the factors (X, G); here they must pass
     a bound instead: every |(XᵀG)_ij| is at most rows * max|X| * max|G|,
-    with max|X| taken over grads["input"] when the layer stored it (the
-    same values, each once), and both that and max|W| + lr * that
+    with the rows G's and max|X| taken over the stored input x (the same
+    values, each once), and both that and max|W| + lr * that
     must stay below half the dtype's maximum (the half leaves room for
     BLAS rounding).  max|W| is a running upper bound kept with the array
     it was taken on, which only a step writes in place; when there is
@@ -172,17 +192,17 @@ def _gradient_step(layer, grads: dict, lr: float) -> None:
     written weights: it refuses every update that could make a weight
     non-finite, and some that would not.
 
-    Raises TrainingDivergedError when X, G or the staged biases hold a
+    Raises TrainingDivergedError when x, G or the staged biases hold a
     non-finite value, or the bound trips.
     """
     lr = float(lr)
     x, g = grads["weights"]
-    x_max, g_max = _abs_max(grads.get("input", x)), _abs_max(g)
+    x_max, g_max = _abs_max(x), _abs_max(g)
     if not (math.isfinite(x_max) and math.isfinite(g_max)):
         raise TrainingDivergedError("the weight gradient is non-finite")
     w = layer.weights
     limit = 0.5 * float(np.finfo(w.dtype).max)
-    product = x.shape[0] * x_max * g_max  # bounds every |(XᵀG)_ij|
+    product = len(g) * x_max * g_max  # bounds every |(XᵀG)_ij|
     step = abs(lr) * product
     bound_of, w_max = getattr(layer, "_weight_bound", (None, math.inf))
     if bound_of is not w or not w_max + step < limit:
@@ -209,7 +229,8 @@ def _commit(layer, grads: dict, lr: float) -> None:
     staged biases, after `_gradient_step` has passed them.
 
     One BLAS call on the weights' dtype: `ger` when X has one row, `gemm`
-    with beta = 1 otherwise.  The operands are passed as F-contiguous
+    with beta = 1 otherwise.  A Conv1D's X is built here, from its input,
+    and freed on return.  The operands are passed as F-contiguous
     views (Wᵀ, Gᵀ, Xᵀ), so BLAS copies none of them.  The in-place
     update rounds W − lr·XᵀG once per weight, which numpy cannot do.
     scipy's BLAS is imported here, not at module top: extraction and
@@ -218,7 +239,7 @@ def _commit(layer, grads: dict, lr: float) -> None:
     """
     from scipy.linalg.blas import get_blas_funcs
 
-    x, g = grads["weights"]
+    x, g = _weight_factors(layer, grads)
     w = np.require(layer.weights, requirements="CW")  # the same array if so
     w_t = w.reshape(x.shape[1], g.shape[1]).T
     alpha = -float(lr)
@@ -373,6 +394,12 @@ class Model:
         """The Conv1D and Dense layers, in network order."""
         return [l for l in self.layers if isinstance(l, (Conv1D, Dense))]
 
+    @property
+    def compute_dtype(self) -> np.dtype:
+        """The dtype the network computes in, its first trainable layer's
+        weights'."""
+        return self.trainable()[0].weights.dtype
+
 
 ARCHITECTURES = {
     "CA01": {"kernels": (10, 10, 5, 5), "dense": (1024,)},
@@ -470,11 +497,10 @@ def _network(arch_id: str, input_frames: int, in_channels: int, seed: int,
 # Forward / loss / training
 
 def _in_compute_dtype(model: Model, x) -> np.ndarray:
-    """`x` cast to the dtype the network computes in, that of its first
-    trainable layer's weights; no copy when it is in that dtype already."""
-    dtype = model.trainable()[0].weights.dtype
+    """`x` cast to the model's compute dtype; no copy when it is in that
+    dtype already."""
     with np.errstate(over="ignore"):  # forward_batch reports the overflow
-        return np.asarray(x, dtype=dtype)
+        return np.asarray(x, dtype=model.compute_dtype)
 
 
 def forward_batch(model: Model, x: np.ndarray,

@@ -137,17 +137,19 @@ _FMT_PCM = 1
 _FMT_FLOAT = 3
 
 
-def _parse_wav(data: bytes, path) -> tuple[int, int, int, bytes]:
-    """Return (format_code, num_channels, sample_rate, data_bytes)."""
+def _parse_wav(data: bytes, path) -> tuple[int, int, int, memoryview]:
+    """Return (format_code, num_channels, sample_rate, data_bytes), the data
+    chunk as a view of `data`, not a copy."""
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorpusError(f"{path}: not a RIFF/WAVE file")
+    view = memoryview(data)
     pos = 12
     fmt = None
     payload = None
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + size]
+        body = view[pos + 8:pos + 8 + size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorpusError(f"{path}: truncated fmt chunk")
@@ -178,7 +180,7 @@ def _parse_wav(data: bytes, path) -> tuple[int, int, int, bytes]:
     return format_code, channels, rate, payload
 
 
-def _parse_file(path: Path) -> tuple[int, int, int, bytes]:
+def _parse_file(path: Path) -> tuple[int, int, int, memoryview]:
     """`_parse_wav` of the file at `path`, which must exist."""
     if not path.is_file():
         raise CorpusError(f"audio file not found: {path}")
@@ -191,21 +193,22 @@ def read_wav(path: str | Path) -> Waveform:
 
     PCM16 values are scaled by 1/32768 so output lies in [-1, 1).  Raises
     CorpusError for any other rate: there is no resampler.  Every command
-    that extracts features decodes through here.
+    that extracts features decodes through here.  The samples are read from
+    the file's bytes in place, and scaled and clipped in the one float64
+    array returned, so a call holds the file and its output and nothing else.
     """
     path = Path(path)
     format_code, channels, rate, payload = _parse_file(path)
     if rate != CANONICAL_RATE_HZ:
         raise CorpusError(f"{path}: sample rate {rate} Hz; "
                           f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
-    if format_code == _FMT_PCM:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    else:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    pcm = format_code == _FMT_PCM
+    samples = np.frombuffer(payload, dtype="<i2" if pcm else "<f4").astype(np.float64)
+    if pcm:
+        samples /= 32768.0
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    samples = np.clip(samples, -1.0, 1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)
     if samples.size == 0:
         raise CorpusError(f"{path}: empty audio data")
     return Waveform(samples=samples, sample_rate_hz=rate)

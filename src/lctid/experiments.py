@@ -277,11 +277,19 @@ def _segment_batch(u: PreparedUtterance, norm: NormStats,
     return np.asarray([s.matrix.T for s in segmenter.split(mat, seg_duration_s)])
 
 
-def _segments_for(utterances, norm: NormStats, seg_duration_s: float):
-    """Every utterance's segments stacked, with its class index per segment."""
-    batches = [_segment_batch(u, norm, seg_duration_s) for u in utterances]
+def _segments_for(utterances, norm: NormStats, seg_duration_s: float, dtype):
+    """Every utterance's segments stacked in `dtype`, with its class index
+    per segment.  Each utterance's float64 batch is cast into its rows of
+    the one stack as it is made, so the set is never held twice."""
+    seg_len = segmenter.segment_frames(seg_duration_s)
+    counts = [-(-u.matrix.num_frames // seg_len) for u in utterances]  # as split cuts
+    xs = np.empty((sum(counts), seg_len, len(norm.channel_ids)), dtype=dtype)
+    ends = np.cumsum(counts)
+    with np.errstate(over="ignore"):  # forward_batch reports the overflow
+        for u, end, n in zip(utterances, ends, counts):
+            xs[end - n:end] = _segment_batch(u, norm, seg_duration_s)
     labels = [DIALECTS.index(u.dialect) for u in utterances]
-    return np.concatenate(batches), np.repeat(labels, [len(b) for b in batches])
+    return xs, np.repeat(labels, counts)
 
 
 def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
@@ -328,14 +336,14 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
         val_utts = [train_utts[i] for i in va]
         train_utts = [train_utts[i] for i in tr]
 
-    xs, ys = _segments_for(train_utts, norm, seg_duration_s)
     model = cnn.build(config.arch_id, input_frames=seg_len,
                       in_channels=len(channels), seed=config.train.seed,
                       conv_dropout=config.train.conv_dropout,
                       dense_dropout=config.train.dense_dropout)
+    xs, ys = _segments_for(train_utts, norm, seg_duration_s, model.compute_dtype)
     val_args = {}
     if val_utts:
-        vx, vy = _segments_for(val_utts, norm, seg_duration_s)
+        vx, vy = _segments_for(val_utts, norm, seg_duration_s, model.compute_dtype)
         val_args = {"val_inputs": vx, "val_targets": vy}
     history = cnn.train(model, xs, ys, config.train, **val_args)
     report = _evaluate_prepared(model, test_utts, norm, seg_duration_s)

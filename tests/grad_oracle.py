@@ -41,7 +41,7 @@ def grad_check(model: cnn.Model, inputs: np.ndarray, targets,
     _, updates = cnn._loss_and_grads(work, x, y, np.random.default_rng(0))
     analytic = []
     for _, layer, grads in updates:
-        xf, gf = grads["weights"]
+        xf, gf = cnn._weight_factors(layer, grads)
         analytic += [(layer.weights, xf.T @ gf),
                      (layer.biases, grads["biases"])]
 

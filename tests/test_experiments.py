@@ -186,9 +186,10 @@ def test_segment_path_matches_the_per_utterance_loop(small_handcrafted):
 
     train_utts = [data.utterances[i] for i in train_idx]
     stacks = [_decision_loop_stack(u, norm, seg_s) for u in train_utts]
-    xs, ys = experiments._segments_for(train_utts, norm, seg_s)
+    xs, ys = experiments._segments_for(train_utts, norm, seg_s, model.compute_dtype)
     assert len(xs) > len(train_utts) == len(stacks)  # some span several segments
-    assert np.array_equal(xs, np.concatenate(stacks))
+    assert xs.dtype == np.float32
+    assert np.array_equal(xs, np.concatenate(stacks).astype(np.float32))
     assert ys.tolist() == [DIALECTS.index(u.dialect)
                            for u, s in zip(train_utts, stacks) for _ in s]
 
