@@ -12,6 +12,9 @@ checks them as if typed, so in ``lctid train @run.args --epochs 5`` the
 later ``--epochs`` wins.  No flag may be shortened.  ``--verbose`` is a flag of ``lctid`` itself: a
 file that holds it goes before the subcommand.  ``train`` writes
 ``model.lct``, which is all that ``eval`` needs, and ``results.json``.
+A results file records the BLAS that ran under ``blas``: its build, its
+thread count and numpy's version, since BLAS rounds differently at other
+thread counts.
 ``train`` and ``ablate --method ife`` score a held-out split and take
 ``--test-fraction``; ``ablate --method rfe`` cross-validates and takes
 ``--folds``.  A split flag that the command does not read is a usage
@@ -280,6 +283,7 @@ def cmd_train(args) -> int:
         "segment_duration_s": aux["segment_duration_s"],
         "num_train_segments": aux["num_train_segments"],
         "history": aux["history"],
+        "blas": cnn.blas_info(),
     })
     _write_json(out / "results.json", record)
     print(f"model -> {model_path}")
@@ -314,6 +318,7 @@ def cmd_ablate(args) -> int:
                      "rank": r.rank} for r in table.rows],
         "rank_gap_stats": {"min": gmin, "max": gmax, "mean": gmean},
         "evaluations": len(table.rows),
+        "blas": cnn.blas_info(),
     })
     _write_json(out / f"results_{args.method}.json", record)
     for row in sorted(table.rows, key=lambda r: r.rank):

@@ -30,15 +30,20 @@ A training step commits once.  Each layer keeps its weight gradient as
 two factors, its input and its output gradient G, and stages its biases'
 update in their gradient's array; `apply_update` checks both and writes
 nothing.  Only after every layer has passed does `train_step` write each
-layer's weights in place, W − lr·XᵀG as one BLAS call, and bind its new
-biases.  A step that raises writes nothing.  X is a Dense's input and a
-Conv1D's im2col matrix, which holds each input value up to kernel_len
-times: it is built from the kept input just before the layer's BLAS call
-and dropped after it, so a step holds one im2col matrix at a time.  A
-Conv1D forms its input gradient one kernel tap at a time and builds no
-im2col matrix of it either.  One CA01 batch-32 step at (166, 13) traces
-a 10.00 MiB peak this way, and 24.06 MiB when every conv keeps its im2col
-matrix from the forward to the commit and the backward builds its gradient.
+layer's weights in place, W − lr·XᵀG as one `ger` or `gemm` call, and
+bind its new biases.  A step that raises writes nothing.  The call goes
+through ctypes into the BLAS that numpy links, so the program loads one
+BLAS library and no scipy module: a training process's peak RSS is about
+20 MB lower than when the commit loaded scipy's BLAS, with the same bits.
+
+X is a Dense's input and a Conv1D's im2col matrix, which holds each input
+value up to kernel_len times: it is built from the kept input just before
+the layer's BLAS call and dropped after it, so a step holds one im2col
+matrix at a time.  A Conv1D forms its input gradient one kernel tap at a
+time and builds no im2col matrix of it either.  One CA01 batch-32 step at
+(166, 13) traces a 10.00 MiB peak this way, and 24.06 MiB when every conv
+keeps its im2col matrix from the forward to the commit and the backward
+builds its gradient.
 
 A Dense input of 2 to SGEMM_MIN_ROWS - 1 rows is multiplied by one row
 block of the weights at a time, y = x[:, :k] @ W[:k] and then
@@ -69,6 +74,7 @@ batches of 4 rows and more keep the bits of one sgemm.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from dataclasses import dataclass
@@ -84,6 +90,7 @@ __all__ = [
     "Flatten", "Dense", "Model", "TrainConfig", "build",
     "forward_batch", "cross_entropy", "train_step", "train",
     "save", "load", "default_optimizer", "default_learning_rate",
+    "blas_info",
 ]
 
 
@@ -224,31 +231,86 @@ def _abs_max(a: np.ndarray) -> float:
     return float(np.maximum(a.max(), -a.min()))
 
 
+# numpy's own BLAS, the one library that runs every matmul of the program.
+# dlsym on numpy's core extension also searches the libraries it links.
+# numpy's wheels export OpenBLAS's CBLAS there under ILP64 scipy-openblas
+# names: dimensions and increments are int64 and the CBLAS enums C ints, and
+# a wrong width corrupts memory without an error.  A name the library does
+# not export binds None: extraction and inference need none of these, and a
+# training step refuses to start without its two (`_blas_routines`).
+_NUMPY_BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
+_COL_MAJOR, _NO_TRANS, _TRANS = 102, 111, 112
+
+
+def _bind(name: str, restype, *argtypes):
+    fn = getattr(_NUMPY_BLAS, name, None)
+    if fn is not None:
+        fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+def _ger_gemm(prefix: str, real) -> tuple:
+    i, n, p = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    return (_bind(f"scipy_cblas_{prefix}ger64_", None,
+                  i, n, n, real, p, n, p, n, p, n),
+            _bind(f"scipy_cblas_{prefix}gemm64_", None,
+                  i, i, i, n, n, n, real, p, n, p, n, real, p, n))
+
+
+_BLAS = {np.dtype(np.float32): _ger_gemm("s", ctypes.c_float),  # (ger, gemm)
+         np.dtype(np.float64): _ger_gemm("d", ctypes.c_double)}
+_BLAS_CONFIG = _bind("scipy_openblas_get_config64_", ctypes.c_char_p)
+_BLAS_THREADS = _bind("scipy_openblas_get_num_threads64_", ctypes.c_int)
+
+
+def _blas_routines(dtype) -> tuple:
+    """numpy's BLAS `ger` and `gemm` for `dtype`; RuntimeError if its BLAS
+    does not export them."""
+    dtype = np.dtype(dtype)
+    ger, gemm = _BLAS.get(dtype, (None, None))
+    if ger is None or gemm is None:
+        raise RuntimeError(
+            f"numpy's BLAS does not export the CBLAS ger and gemm that training "
+            f"in {dtype.name} calls: training needs a numpy built with "
+            "scipy-openblas, as numpy's own wheels are")
+    return ger, gemm
+
+
+def blas_info() -> dict:
+    """The BLAS that runs this process's matmuls: OpenBLAS's build
+    configuration and its current thread count (None where numpy's BLAS
+    does not export them), and numpy's version.  BLAS rounds differently
+    at other thread counts, so a run records them."""
+    return {"config": None if _BLAS_CONFIG is None else _BLAS_CONFIG().decode(),
+            "threads": None if _BLAS_THREADS is None else _BLAS_THREADS(),
+            "numpy": np.__version__}
+
+
 def _commit(layer, grads: dict, lr: float) -> None:
     """Write W - lr * XᵀG into the layer's weights in place and bind its
     staged biases, after `_gradient_step` has passed them.
 
-    One BLAS call on the weights' dtype: `ger` when X has one row, `gemm`
-    with beta = 1 otherwise.  A Conv1D's X is built here, from its input,
-    and freed on return.  The operands are passed as F-contiguous
-    views (Wᵀ, Gᵀ, Xᵀ), so BLAS copies none of them.  The in-place
-    update rounds W − lr·XᵀG once per weight, which numpy cannot do.
-    scipy's BLAS is imported here, not at module top: extraction and
-    inference (`load`, `forward_batch`) load no scipy module at all, and
-    only a process that trains pays its 28 MB resident.
+    One call into numpy's own BLAS on the weights' dtype: `ger` when X has
+    one row, `gemm` with beta = 1 otherwise.  A Conv1D's X is built here,
+    from its input, and freed on return.  In column-major terms W is the
+    (out, in) matrix C with ldc = out, G the (out, rows) A with lda = out,
+    and X, transposed, the (in, rows) B with ldb = in: the C-contiguous
+    arrays as they are, so BLAS copies none of them.  The in-place update
+    rounds W − lr·XᵀG once per weight, which numpy's operators cannot do.
     """
-    from scipy.linalg.blas import get_blas_funcs
-
     x, g = _weight_factors(layer, grads)
     w = np.require(layer.weights, requirements="CW")  # the same array if so
-    w_t = w.reshape(x.shape[1], g.shape[1]).T
+    ger, gemm = _blas_routines(w.dtype)
+    x = np.ascontiguousarray(x, dtype=w.dtype)  # no copy in any current call
+    g = np.ascontiguousarray(g, dtype=w.dtype)
+    (rows, n_in), n_out = x.shape, g.shape[1]
     alpha = -float(lr)
-    if x.shape[0] == 1:
-        (ger,) = get_blas_funcs(("ger",), (w_t,))
-        ger(alpha, g[0], x[0], a=w_t, overwrite_a=1)
+    if rows == 1:
+        ger(_COL_MAJOR, n_out, n_in, alpha, g.ctypes.data, 1,
+            x.ctypes.data, 1, w.ctypes.data, n_out)
     else:
-        (gemm,) = get_blas_funcs(("gemm",), (w_t,))
-        gemm(alpha, g.T, x.T, beta=1.0, c=w_t, trans_b=1, overwrite_c=1)
+        gemm(_COL_MAJOR, _NO_TRANS, _TRANS, n_out, n_in, rows, alpha,
+             g.ctypes.data, n_out, x.ctypes.data, n_in, 1.0, w.ctypes.data, n_out)
     layer.weights, layer.biases = w, grads["biases"]
     layer._weight_bound = (w, grads["weight_bound"])
 
@@ -597,11 +659,14 @@ def train_step(model: Model, inputs: np.ndarray, targets,
     see `_gradient_step`).  Every layer checks and stages its update
     before any is written; only then are the weights written in place, as
     one BLAS call per layer, and the new biases bound.  A step that raises
-    leaves the model exactly as it was before the step.
+    leaves the model exactly as it was before the step.  It raises
+    RuntimeError before computing anything when numpy's BLAS does not
+    export the routines the commit calls (`_blas_routines`).
     """
     inputs = _in_compute_dtype(model, inputs)
     if inputs.ndim != 3 or inputs.shape[0] == 0:
         raise ValueError("batch must be (B, frames, channels) with B >= 1")
+    _blas_routines(inputs.dtype)  # before the step computes anything
     # an overflow shows up as a non-finite loss or update, which raises
     # TrainingDivergedError
     with np.errstate(over="ignore", invalid="ignore"):

@@ -277,12 +277,18 @@ def _segment_batch(u: PreparedUtterance, norm: NormStats,
     return np.asarray([s.matrix.T for s in segmenter.split(mat, seg_duration_s)])
 
 
+def _segment_counts(utterances, seg_duration_s: float) -> list[int]:
+    """Each utterance's number of segments, as `segmenter.split` cuts it."""
+    seg_len = segmenter.segment_frames(seg_duration_s)
+    return [-(-u.matrix.num_frames // seg_len) for u in utterances]
+
+
 def _segments_for(utterances, norm: NormStats, seg_duration_s: float, dtype):
     """Every utterance's segments stacked in `dtype`, with its class index
     per segment.  Each utterance's float64 batch is cast into its rows of
     the one stack as it is made, so the set is never held twice."""
     seg_len = segmenter.segment_frames(seg_duration_s)
-    counts = [-(-u.matrix.num_frames // seg_len) for u in utterances]  # as split cuts
+    counts = _segment_counts(utterances, seg_duration_s)
     xs = np.empty((sum(counts), seg_len, len(norm.channel_ids)), dtype=dtype)
     ends = np.cumsum(counts)
     with np.errstate(over="ignore"):  # forward_batch reports the overflow
@@ -294,12 +300,13 @@ def _segments_for(utterances, norm: NormStats, seg_duration_s: float, dtype):
 
 def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
                        seg_duration_s: float) -> EvalReport:
-    """Score every utterance's segments in chunks; decide per utterance."""
-    batches = [_segment_batch(u, norm, seg_duration_s) for u in utterances]
-    xs = np.concatenate(batches)
+    """Score every utterance's segments in chunks; decide per utterance.
+    The segments are stacked once, in the model's compute dtype, which is
+    what `forward_batch` casts each chunk to."""
+    xs, _ = _segments_for(utterances, norm, seg_duration_s, model.compute_dtype)
     acts = np.concatenate([cnn.forward_batch(model, xs[i:i + EVAL_CHUNK_SEGMENTS])
                            for i in range(0, len(xs), EVAL_CHUNK_SEGMENTS)])
-    ends = np.cumsum([len(b) for b in batches])[:-1]
+    ends = np.cumsum(_segment_counts(utterances, seg_duration_s))[:-1]
     counts: dict[tuple[str, str], int] = {}
     for u, utt_acts in zip(utterances, np.split(acts, ends)):
         key = (u.dialect, segmenter.aggregate(utt_acts))

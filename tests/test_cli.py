@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,3 +384,29 @@ def test_results_record_only_the_settings_the_run_read(tmp_path, monkeypatch, co
     # an ablation's accuracies are in its ranking; it has no fold reports
     held_out = command == ["train"]
     assert ("folds" in record, "mean_accuracy" in record) == (held_out, held_out)
+
+
+def test_results_record_the_blas_thread_count_that_ran(tmp_path):
+    # in a fresh process, as a user runs it: OpenBLAS reads the variable
+    # when numpy loads it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def lctid(*args):
+        subprocess.run([sys.executable, "-m", "lctid.cli", *args], cwd=tmp_path,
+                       env=env, check=True, capture_output=True)
+
+    lctid(*SYNTH)
+    run = ["--manifest", "corp/manifest.tsv", "--features", "F0,ZCR", "--arch", "CA02",
+           "--epochs", "1", "--out", "run"]
+    lctid("train", *run)
+    lctid("ablate", "--method", "ife", *run)
+    reported = subprocess.run(
+        [sys.executable, "-c", "from lctid import cnn; print(cnn.blas_info()['threads'])"],
+        env=env, check=True, capture_output=True, text=True).stdout.strip()
+    assert reported == "1"
+    for results in ("results.json", "results_ife.json"):
+        blas = json.loads((tmp_path / "run" / results).read_text())["blas"]
+        assert blas == {"config": cnn.blas_info()["config"], "threads": 1,
+                        "numpy": np.__version__}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.blas import get_blas_funcs
 
 import maxpool_oracle as pool_oracle
 from grad_oracle import float64_copy, grad_check
@@ -774,6 +775,72 @@ class TestCommit:
         with pytest.raises(cnn.TrainingDivergedError, match="non-finite"):
             layer.apply_update(grads, 0.01)
 
+    @pytest.mark.parametrize("missing", [0, 1], ids=["ger", "gemm"])
+    def test_missing_blas_routine_raises_and_writes_nothing(self, monkeypatch,
+                                                            missing):
+        # a numpy whose BLAS exports no scipy-openblas CBLAS names (MKL,
+        # Accelerate) imports the program, and its first step refuses
+        model = tiny_model()
+        routines = list(cnn._BLAS[np.dtype(np.float32)])
+        routines[missing] = None
+        monkeypatch.setitem(cnn._BLAS, np.dtype(np.float32), tuple(routines))
+        old = trainable_arrays(model)
+        copies = [(w.copy(), b.copy()) for w, b in old]
+        x = np.random.default_rng(1).standard_normal((4, 8, 2))
+        with pytest.raises(RuntimeError, match="numpy's BLAS does not export"):
+            cnn.train_step(model, x, np.array([0, 1, 0, 1]), 1e-3,
+                           np.random.default_rng(3))
+        for (w, b), (w0, b0), (w1, b1) in zip(old, copies, trainable_arrays(model)):
+            assert w1 is w and b1 is b
+            assert same_bits(w, w0) and same_bits(b, b0)
+        assert not any(hasattr(layer, "_weight_bound") for layer in model.trainable())
+
+
+def _trainable_input_shapes(model, batch):
+    """Each trainable layer with the shape of its input at `batch` samples,
+    as the layers' own `forward` passes a zero input on."""
+    x = np.zeros((batch, model.input_frames, model.in_channels), dtype=np.float32)
+    shapes = []
+    for layer in model.layers:
+        if isinstance(layer, (cnn.Conv1D, cnn.Dense)):
+            shapes.append((layer, x.shape))
+        x, _ = layer.forward(x)
+    return shapes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 32])
+@pytest.mark.parametrize("frames, channels", [(166, 13), (140, 10)])
+@pytest.mark.parametrize("arch", sorted(cnn.ARCHITECTURES))
+def test_commit_is_scipys_ger_and_gemm(arch, frames, channels, batch, dtype):
+    # numpy's BLAS through ctypes writes the bits that scipy's `ger` and
+    # `gemm` (beta = 1, on the F-contiguous views Wᵀ, Gᵀ, Xᵀ) wrote when
+    # the commit called them, at every trainable layer of CA01-CA03
+    rng = np.random.default_rng(batch)
+    model = cnn.build(arch, input_frames=frames, in_channels=channels)
+    ger_calls = 0
+    for layer, x_shape in _trainable_input_shapes(model, batch):
+        w = layer.weights = rng.standard_normal(layer.weights.shape).astype(dtype)
+        x = rng.standard_normal(x_shape).astype(dtype)
+        rows = batch
+        if isinstance(layer, cnn.Conv1D):
+            rows *= x_shape[1] - layer.kernel_len + 1
+        g = rng.standard_normal((rows, w.shape[-1])).astype(dtype)
+        grads = {"weights": (x, g), "biases": layer.biases, "weight_bound": 0.0}
+        xf, gf = cnn._weight_factors(layer, grads)
+        ref = w.reshape(xf.shape[1], gf.shape[1]).copy().T
+        if rows == 1:
+            ger_calls += 1
+            (ger,) = get_blas_funcs(("ger",), (ref,))
+            ref = ger(-0.01, gf[0], xf[0], a=ref, overwrite_a=1)
+        else:
+            (gemm,) = get_blas_funcs(("gemm",), (ref,))
+            ref = gemm(-0.01, gf.T, xf.T, beta=1.0, c=ref, trans_b=1, overwrite_c=1)
+        cnn._commit(layer, grads, 0.01)
+        assert layer.weights is w
+        assert same_bits(w.reshape(ref.T.shape), np.ascontiguousarray(ref.T))
+    assert ger_calls == (len(cnn.ARCHITECTURES[arch]["dense"]) + 1 if batch == 1 else 0)
+
 
 @pytest.mark.parametrize("kernel_len,frames", [(1, 4), (3, 8), (3, 9), (5, 11)])
 def test_conv_bound_sees_every_input_value(kernel_len, frames):
@@ -821,7 +888,9 @@ def test_batch_step_holds_one_im2col_matrix_at_a_time():
 # 0.5 s pulse train made without numpy.random (which imports hashlib through
 # `secrets`); the model file argv[1] loaded, decided on and saved to argv[2];
 # then one training step.  It prints the scipy and _hashlib modules loaded
-# before the step, then whether the step loaded scipy's BLAS, then the
+# before the step, the modules that the calls before the step loaded, the
+# modules that the step loaded, the scipy modules loaded by then, the
+# modules that a planted import loaded (through the same diff), then the
 # globals of `lctid` modules that those calls rebound or resized (by
 # identity, and by length for a dict, list or set), then the writeable and
 # the read-only module-level arrays.
@@ -846,6 +915,9 @@ def module_arrays():
                     if isinstance(a, np.ndarray):
                         yield f"{name}.{k}" + ("" if key is None else f"[{key}]"), a
 
+def new_modules(since):
+    return sorted(sys.modules.keys() - since)
+
 imported = set(sys.modules)
 before = module_state()
 t = np.arange(8000) / corpus.CANONICAL_RATE_HZ
@@ -856,10 +928,16 @@ segs = np.ascontiguousarray(m.values[:, :model.input_frames].T)[None]
 cnn.forward_batch(model, np.repeat(segs, 2, axis=0))
 cnn.save(model, norm, sys.argv[2])
 print(sorted(k for k in sys.modules if k.split(".")[0] in ("scipy", "_hashlib")))
-print(sorted(sys.modules.keys() - imported))
-cnn.train_step(model, segs, [0], 0.01, np.random.default_rng(0))
-print("scipy.linalg" in sys.modules)
+print(new_modules(imported))
+rng = np.random.default_rng(0)  # imports numpy.random, and hashlib with it
+stepped = set(sys.modules)
+cnn.train_step(model, segs, [0], 0.01, rng)
+print(new_modules(stepped))
 after = module_state()
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+planted = set(sys.modules)
+import colorsys
+print(new_modules(planted))
 print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)))
 print([k for k, a in module_arrays() if a.flags.writeable])
 print([k for k, a in module_arrays() if not a.flags.writeable])
@@ -867,13 +945,14 @@ print([k for k, a in module_arrays() if not a.flags.writeable])
 
 
 def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
-    # Extraction and inference run on numpy alone: scipy (27 MB resident
-    # for scipy.fft, 28 MB for scipy.linalg.blas) and OpenSSL's libcrypto
-    # (behind _hashlib) load only for a training step or a run record.
-    # Extraction, load, decision and save load no module at all once the
-    # program is imported.  No call fills module state: every analysis
-    # table is a read-only constant built at import, and no module keeps a
-    # cache.
+    # The program runs on numpy alone: no scipy module loads at any point
+    # (27 MB resident for scipy.fft, 28 MB for scipy.linalg.blas), and
+    # OpenSSL's libcrypto (behind _hashlib) loads only with numpy.random or
+    # a run record.
+    # Extraction, load, decision, save and a training step load no module
+    # at all once the program is imported.  No call fills module state:
+    # every analysis table and the BLAS routines a step calls are constants
+    # bound at import, and no module keeps a cache.
     model = cnn.build("CA01", input_frames=40, in_channels=len(ALL_IDS))
     norm = NormStats(mean=np.zeros(len(ALL_IDS)), std=np.ones(len(ALL_IDS)),
                      channel_ids=ALL_IDS)
@@ -887,12 +966,14 @@ def test_importing_the_program_loads_no_scipy_linalg(tmp_path):
         env=env, check=True, capture_output=True, text=True).stdout.split("\n")
     assert out[0] == "[]"
     assert out[1] == "[]"
-    # the guard is not vacuous: the first training step does load scipy
-    assert out[2] == "True"
-    assert (tmp_path / "out.lct").read_bytes() == (tmp_path / "in.lct").read_bytes()
+    assert out[2] == "[]"  # the training step
     assert out[3] == "[]"
-    assert out[4] == "[]"
-    assert set(ast.literal_eval(out[5])) >= {
+    # the guard is not vacuous: the same diff sees a module that loads
+    assert out[4] == "['colorsys']"
+    assert (tmp_path / "out.lct").read_bytes() == (tmp_path / "in.lct").read_bytes()
+    assert out[5] == "[]"
+    assert out[6] == "[]"
+    assert set(ast.literal_eval(out[7])) >= {
         "lctid.dsp.WINDOWS[320]", "lctid.dsp.WINDOWS[960]", "lctid.pitch.SHS_GRID_HZ",
         "lctid.pitch.SHS_WEIGHTS", "lctid.pitch.SHS_FLAT_RESPONSE",
         "lctid.features.SHARP_BARKS", "lctid.features.MEL_BANK",
