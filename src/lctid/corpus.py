@@ -12,9 +12,11 @@ written at 16 kHz only.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -137,29 +139,34 @@ _FMT_PCM = 1
 _FMT_FLOAT = 3
 
 
-def _parse_wav(data: bytes, path) -> tuple[int, int, int, memoryview]:
-    """Return (format_code, num_channels, sample_rate, data_bytes), the data
-    chunk as a view of `data`, not a copy."""
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
+def _parse_wav(f: BinaryIO, path) -> tuple[int, int, int, int, int]:
+    """Return (format_code, num_channels, sample_rate, data_offset,
+    data_size) of the open WAV `f`.
+
+    Reads only the chunk headers and the fmt body, seeking past every other
+    body; the data chunk's truncation is judged from the file size.
+    """
+    file_size = os.fstat(f.fileno()).st_size
+    head = f.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise CorpusError(f"{path}: not a RIFF/WAVE file")
-    view = memoryview(data)
     pos = 12
     fmt = None
-    payload = None
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8:pos + 8 + size]
+    data = None
+    while pos + 8 <= file_size:
+        f.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", f.read(8))
         if chunk_id == b"fmt ":
+            body = f.read(min(size, 16))
             if len(body) < 16:
                 raise CorpusError(f"{path}: truncated fmt chunk")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack("<HHIIHH", body)
         elif chunk_id == b"data":
-            if len(body) < size:
+            if pos + 8 + size > file_size:
                 raise CorpusError(f"{path}: truncated data chunk")
-            payload = body
+            data = (pos + 8, size)
         pos += 8 + size + (size & 1)
-    if fmt is None or payload is None:
+    if fmt is None or data is None:
         raise CorpusError(f"{path}: missing fmt or data chunk")
     format_code, channels, rate, _byte_rate, _block_align, bits = fmt
     if channels == 0 or rate == 0:
@@ -174,17 +181,17 @@ def _parse_wav(data: bytes, path) -> tuple[int, int, int, memoryview]:
             f"{path}: unsupported encoding (format {format_code}, {bits}-bit); "
             "only PCM16 and IEEE float32 are supported")
     frame_bytes = bits // 8 * channels
-    if len(payload) % frame_bytes:
-        raise CorpusError(f"{path}: data chunk of {len(payload)} bytes is not a "
+    if data[1] % frame_bytes:
+        raise CorpusError(f"{path}: data chunk of {data[1]} bytes is not a "
                           f"whole number of {frame_bytes}-byte sample frames")
-    return format_code, channels, rate, payload
+    return format_code, channels, rate, *data
 
 
-def _parse_file(path: Path) -> tuple[int, int, int, memoryview]:
-    """`_parse_wav` of the file at `path`, which must exist."""
+def _open_wav(path: Path) -> BinaryIO:
+    """The file at `path` opened for `_parse_wav`; it must exist."""
     if not path.is_file():
         raise CorpusError(f"audio file not found: {path}")
-    return _parse_wav(path.read_bytes(), path)
+    return path.open("rb")
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -193,15 +200,18 @@ def read_wav(path: str | Path) -> Waveform:
 
     PCM16 values are scaled by 1/32768 so output lies in [-1, 1).  Raises
     CorpusError for any other rate: there is no resampler.  Every command
-    that extracts features decodes through here.  The samples are read from
-    the file's bytes in place, and scaled and clipped in the one float64
-    array returned, so a call holds the file and its output and nothing else.
+    that extracts features decodes through here.  Only the data chunk is
+    read, and it is scaled and clipped in the one float64 array returned, so
+    a call holds the data chunk and its output and nothing else.
     """
     path = Path(path)
-    format_code, channels, rate, payload = _parse_file(path)
-    if rate != CANONICAL_RATE_HZ:
-        raise CorpusError(f"{path}: sample rate {rate} Hz; "
-                          f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
+    with _open_wav(path) as f:
+        format_code, channels, rate, offset, size = _parse_wav(f, path)
+        if rate != CANONICAL_RATE_HZ:
+            raise CorpusError(f"{path}: sample rate {rate} Hz; "
+                              f"expected {CANONICAL_RATE_HZ} Hz (no resampler)")
+        f.seek(offset)
+        payload = f.read(size)
     pcm = format_code == _FMT_PCM
     samples = np.frombuffer(payload, dtype="<i2" if pcm else "<f4").astype(np.float64)
     if pcm:
@@ -215,10 +225,13 @@ def read_wav(path: str | Path) -> Waveform:
 
 
 def wav_duration_s(path: str | Path) -> float:
-    """Duration from the WAV header, at any rate, without decoding samples."""
-    format_code, channels, rate, payload = _parse_file(Path(path))
+    """Duration from the WAV chunk headers, at any rate, without reading
+    the data chunk."""
+    path = Path(path)
+    with _open_wav(path) as f:
+        format_code, channels, rate, _, size = _parse_wav(f, path)
     bytes_per = 2 if format_code == _FMT_PCM else 4
-    return len(payload) / (bytes_per * channels * rate)
+    return size / (bytes_per * channels * rate)
 
 
 def write_wav(path: str | Path, waveform: Waveform) -> None:
@@ -330,15 +343,30 @@ def _synth_utterance(rng: np.random.Generator, dialect: str,
     phi_f = rng.uniform(0.0, 2 * np.pi)
     phi_a = rng.uniform(0.0, 2 * np.pi)
     t = rng.uniform(0.0, 1.0 / f0_base)
-    times, amps = [], []
+    # The draw contract: each pulse draws two uniforms on [-1, 1), its
+    # shimmer first and then its jitter, and the generator is left as a loop
+    # of two rng.uniform calls per pulse leaves it.  The schedule reads the
+    # pairs from one block, as many as the shortest period allows (a short
+    # block raises IndexError), then rewinds the generator and draws exactly
+    # the pairs it used.  Only the period recurrence runs pulse by pulse.
+    bound = int(dur_s * f0_base * (1.0 + fm_depth) / (1.0 - jit)) + 2
+    state = rng.bit_generator.state
+    u = rng.uniform(-1.0, 1.0, 2 * bound).tolist()
+    # w_f * t is the loop's 2 * np.pi * fm_rate * t: Python multiplies left to right
+    sin, w_f = np.sin, 2 * np.pi * fm_rate
+    times = []
+    k = 1
     while t < dur_s:
-        f_inst = f0_base * (1.0 + fm_depth * np.sin(2 * np.pi * fm_rate * t + phi_f))
-        amp = 0.35 * (1.0 + am_depth * np.sin(2 * np.pi * am_rate * t + phi_a))
-        amp *= 1.0 + shim * rng.uniform(-1.0, 1.0)
         times.append(t)
-        amps.append(amp)
-        t += (1.0 / f_inst) * (1.0 + jit * rng.uniform(-1.0, 1.0))
-    x = _render_pulses(n, np.array(times), np.array(amps))
+        f_inst = f0_base * (1.0 + fm_depth * float(sin(w_f * t + phi_f)))
+        t += (1.0 / f_inst) * (1.0 + jit * u[k])
+        k += 2
+    rng.bit_generator.state = state
+    u = rng.uniform(-1.0, 1.0, 2 * len(times))
+    times = np.array(times)
+    amps = 0.35 * (1.0 + am_depth * np.sin(2 * np.pi * am_rate * times + phi_a))
+    amps *= 1.0 + shim * u[0::2]
+    x = _render_pulses(n, times, amps)
     if silences:
         for _ in range(max(1, int(round(dur_s * 1.2)))):
             gap = int(rng.uniform(0.05, 0.10) * CANONICAL_RATE_HZ)

@@ -9,17 +9,24 @@ tree's `src` first on `sys.path`, so each side runs its own program.  The
 tool refuses to run unless `benchmarks/` and `BENCHMARK.json` are the same in
 the base and the working tree, so both sides run one harness.  Each pair runs
 both sides once, one after the other; the base goes first in even pairs and
-the change first in odd ones.
+the change first in odd ones.  Before each run a fresh process times a fixed
+host probe (`PROBE`: a pure-Python loop, and a float32 gemm at one BLAS
+thread), so a move of the host's speed shows beside the run it slowed.
 
 It writes `BENCH_<workload>.json` at the repository root with the base
 commit and the working tree's HEAD (and whether it has uncommitted changes),
-the seed, the seconds, `nproc` and the numpy version, and per end-to-end
-metric of BENCHMARK.json and per side every value, the median and the first
-and third quartiles (`statistics.quantiles(values, n=4)`, as
+the seed, the seconds, `nproc`, the CPU model and the numpy version, and per
+end-to-end metric of BENCHMARK.json and per side every value, the median and
+the first and third quartiles (`statistics.quantiles(values, n=4)`, as
 `benchmarks/summarize.py` takes them), plus the median of the per-pair ratios
-change / base and the number of pairs in which the change did better, in the
-metric's `better` direction; and per side the failed and attempted
-operations.  The file's name keeps pytest from collecting it.
+change / base, that median with each pair ratio normalised by the pair's
+probe ratio (for time and rate metrics only), and the number of pairs in
+which the change did better, in the metric's `better` direction; per side the
+failed and attempted operations, and every probe time with its spread.
+When the working tree's `src/` equals the base's, both sides run one
+program, and the file is `BENCH_AA_<workload>.json`: an A/A run, the spread
+of the same code on this host, which a base-against-change run does not
+overwrite.  The file's name keeps pytest from collecting it.
 """
 
 import argparse
@@ -36,6 +43,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+
+# The host probe, run as `python -c` in a fresh process at one BLAS thread:
+# the median of 5 timings each of a pure-Python loop and a 256 x 256 float32
+# gemm, printed as JSON.  Fixed, so its times compare across runs and revisions.
+PROBE = """
+import json, statistics, time
+import numpy as np
+def loop():
+    acc = 0
+    for i in range(300_000):
+        acc += i * i % 7
+a = np.random.default_rng(0).standard_normal((256, 256)).astype(np.float32)
+def gemm():
+    for _ in range(100):
+        a @ a
+def median_s(fn):
+    fn()
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+print(json.dumps({"python_s": median_s(loop), "gemm_s": median_s(gemm)}))
+"""
+PROBE_KEYS = ("python_s", "gemm_s")
+# How a metric scales with the host's slowness: a time grows with it, a rate
+# shrinks; any other unit (memory) is left unnormalised.
+_HOST_EXPONENT = {"s": 1, "ms": 1, "1/s": -1}
 
 
 def benchmark() -> dict:
@@ -54,10 +90,38 @@ def _spread(values: list[float]) -> dict:
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def probe_host() -> dict:
+    """`PROBE`'s times in a fresh process: {"python_s", "gemm_s"}."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def cpu_model() -> str | None:
+    """The first `model name` of /proc/cpuinfo, or None where there is none."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    return next((ln.split(":", 1)[1].strip() for ln in lines
+                 if ln.startswith("model name")), None)
+
+
+def _probe_s(record: dict) -> float:
+    return sum(record["probe"][k] for k in PROBE_KEYS)
+
+
 def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     """Sum up the pairs, each {"base": record, "change": record} with a
     record the last line `run.py` prints (`attempted`, `failed` and
-    `metrics`: name -> {"value", "unit"}).
+    `metrics`: name -> {"value", "unit"}) and, when every record of every
+    pair has one, `probe`: the `probe_host()` times taken before its run.
+
+    With probes, each metric also gets `probe_normalised_pair_ratio`: the
+    median over pairs of (change / base) / (probe ratio) ** e, where the
+    probe ratio is the ratio of the two sides' summed probe times and e is
+    1 for a time, -1 for a rate and 0 (null) for any other unit.
 
     Raises ValueError unless every record's metric names are exactly the
     names of `metrics`.
@@ -68,23 +132,36 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
             if sorted(pair[side]["metrics"]) != sorted(names):
                 raise ValueError(f"{side} record has metrics {sorted(pair[side]['metrics'])}, "
                                  f"not BENCHMARK.json's {sorted(names)}")
+    probed = all("probe" in p[side] for p in pairs for side in SIDES)
+    host = [_probe_s(p["change"]) / _probe_s(p["base"]) for p in pairs] if probed else None
     out = {"metrics": {}, "operations": {}}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        ratios = [c / b for b, c in zip(values["base"], values["change"]) if b]
+        ratios = [c / b if b else None for b, c in zip(values["base"], values["change"])]
+        known = [r for r in ratios if r is not None]
         wins = sum(c > b if higher else c < b
                    for b, c in zip(values["base"], values["change"]))
+        exponent = _HOST_EXPONENT.get(m["unit"])
+        normalised = None
+        if host and exponent:
+            scaled = [r / h ** exponent for r, h in zip(ratios, host) if r is not None]
+            normalised = statistics.median(scaled) if scaled else None
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"],
             **{side: _spread(values[side]) for side in SIDES},
-            "median_pair_ratio": statistics.median(ratios) if ratios else None,
+            "median_pair_ratio": statistics.median(known) if known else None,
+            "probe_normalised_pair_ratio": normalised,
             "change_wins": wins,
         }
     for side in SIDES:
         out["operations"][side] = {
             "attempted": sum(p[side]["attempted"] for p in pairs),
             "failed": sum(p[side]["failed"] for p in pairs)}
+    if probed:
+        out["probe"] = {side: {k: _spread([p[side]["probe"][k] for p in pairs])
+                               for k in PROBE_KEYS} for side in SIDES}
+        out["probe"]["median_pair_ratio"] = statistics.median(host)
     return out
 
 
@@ -122,6 +199,9 @@ def main(argv=None) -> int:
               "would not run one harness", file=sys.stderr)
         return 2
 
+    same_src = not (_git("diff", "--quiet", args.base, "--", "src").returncode
+                    or _git("ls-files", "--others", "--exclude-standard", "--", "src").stdout)
+
     pairs = []
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         archive = _git("archive", "--format=tar", args.base).stdout
@@ -132,9 +212,12 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
             for side in order:
-                pair[side] = run_side(roots[side], args.workload, args.seed, args.seconds)
+                probe = probe_host()
+                pair[side] = {**run_side(roots[side], args.workload, args.seed, args.seconds),
+                              "probe": probe}
                 thr = pair[side]["metrics"]["throughput"]["value"]
-                print(f"pair {i + 1}/{args.pairs} {side:<6} throughput {thr:.4g}",
+                print(f"pair {i + 1}/{args.pairs} {side:<6} throughput {thr:.4g}  probe "
+                      f"{probe['python_s'] * 1e3:.1f} + {probe['gemm_s'] * 1e3:.1f} ms",
                       file=sys.stderr, flush=True)
             pairs.append({**pair, "first": order[0]})
 
@@ -144,17 +227,20 @@ def main(argv=None) -> int:
         "change": {"head": _git("rev-parse", "HEAD").stdout.decode().strip(),
                    "uncommitted_changes": bool(
                        _git("status", "--porcelain", "--untracked-files=no").stdout)},
+        "same_src": same_src,
         "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
         "first_per_pair": [p["first"] for p in pairs],
         "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model(),
         "numpy": importlib.metadata.version("numpy"),
         **aggregate(pairs, bench["end_to_end"]),
     }
-    path = ROOT / f"BENCH_{args.workload}.json"
+    path = ROOT / f"BENCH_{'AA_' if same_src else ''}{args.workload}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in report["metrics"].items():
         print(f"{name:<12} base {m['base']['median']:.5g}  change {m['change']['median']:.5g}"
-              f"  pair ratio {m['median_pair_ratio']}  change better in "
+              f"  pair ratio {m['median_pair_ratio']}  probe-normalised "
+              f"{m['probe_normalised_pair_ratio']}  change better in "
               f"{m['change_wins']}/{args.pairs}")
     print(f"wrote {path}")
     return 0

@@ -64,3 +64,46 @@ def test_one_pair_has_flat_quartiles():
     assert s["median_pair_ratio"] == 0.5
     assert s["change_wins"] == 1
     assert out["metrics"]["throughput"]["change_wins"] == 0
+
+
+def probed(p: dict, base: tuple[float, float], change: tuple[float, float]) -> dict:
+    """`p` with host probe times (python_s, gemm_s) on each side."""
+    for side, (py, gemm) in (("base", base), ("change", change)):
+        p[side]["probe"] = {"python_s": py, "gemm_s": gemm}
+    return p
+
+
+def test_probe_normalised_ratios_scale_times_and_rates_only():
+    # pair 1: change side 2x value on a host 2x slower; pair 2: same value, same host
+    pairs = [probed(pair(1.0, 2.0), (0.01, 0.01), (0.03, 0.01)),
+             probed(pair(3.0, 3.0), (0.02, 0.02), (0.02, 0.02))]
+    out = ab.aggregate(pairs, METRICS)
+    by_unit = {m["unit"]: out["metrics"][m["name"]] for m in METRICS}
+    assert by_unit["s"]["median_pair_ratio"] == pytest.approx(1.5)
+    # a time: ratios 2/2 and 1/1
+    assert by_unit["s"]["probe_normalised_pair_ratio"] == pytest.approx(1.0)
+    assert by_unit["ms"]["probe_normalised_pair_ratio"] == pytest.approx(1.0)
+    # a rate: ratios 2*2 and 1*1
+    assert by_unit["1/s"]["probe_normalised_pair_ratio"] == pytest.approx(2.5)
+    assert by_unit["MB"]["probe_normalised_pair_ratio"] is None
+    assert out["probe"]["base"]["python_s"]["values"] == [0.01, 0.02]
+    gemm = out["probe"]["change"]["gemm_s"]
+    assert (gemm["values"], gemm["median"]) == ([0.01, 0.02], pytest.approx(0.015))
+    assert out["probe"]["median_pair_ratio"] == pytest.approx(1.5)
+
+
+def test_unprobed_pairs_get_no_normalised_ratio():
+    half = probed(pair(1.0, 2.0), (0.01, 0.01), (0.01, 0.01))
+    for pairs in ([pair(1.0, 2.0)], [half, pair(1.0, 2.0)]):
+        out = ab.aggregate(pairs, METRICS)
+        assert "probe" not in out
+        assert all(m["probe_normalised_pair_ratio"] is None
+                   for m in out["metrics"].values())
+
+
+def test_host_record_names_the_cpu():
+    model = ab.cpu_model()
+    assert model is None or (isinstance(model, str) and model)
+    times = ab.probe_host()
+    assert sorted(times) == sorted(ab.PROBE_KEYS)
+    assert all(t > 0 for t in times.values())

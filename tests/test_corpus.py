@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import synth_oracle
 from lctid import corpus
 from lctid.corpus import (CorpusError, CorpusManifest, SynthSpec,
                           UtteranceRecord, Waveform, derive_balanced_subset,
@@ -175,6 +177,21 @@ class TestWav:
         write_wav(p, Waveform(np.zeros(8000), SR))
         assert wav_duration_s(p) == pytest.approx(0.5)
 
+    def test_duration_reads_no_data_chunk(self, tmp_path):
+        # load_manifest calls it once per record: it reads the chunk headers
+        # and seeks past the samples, so it holds none of a 6 MB file
+        p = tmp_path / "long.wav"
+        write_wav(p, Waveform(np.zeros(3_000_000), SR))
+        wav_duration_s(p)
+        tracemalloc.start()
+        try:
+            dur = wav_duration_s(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dur == 187.5
+        assert peak < 64 << 10
+
     @pytest.mark.parametrize("decode", [
         read_wav,
         lambda p: corpus.load_audio(UtteranceRecord(id="x", audio_path=str(p),
@@ -253,6 +270,18 @@ class TestSynthCorpus:
         for ra, rb in zip(ma.records, mb.records):
             with open(ra.audio_path, "rb") as fa, open(rb.audio_path, "rb") as fb:
                 assert fa.read() == fb.read()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dialect=st.sampled_from(corpus.DIALECTS),
+           dur_s=st.floats(0.2, 6.0))
+    def test_block_schedule_is_the_per_pulse_loop(self, seed, dialect, dur_s):
+        # shimmer then jitter per pulse, read from one block of draws: the
+        # samples and the generator's next draw equal the scalar loop's
+        block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = corpus._synth_utterance(block, dialect, dur_s)
+        y = synth_oracle.synth_utterance(loop, dialect, dur_s)
+        assert np.array_equal(x, y)
+        assert block.random() == loop.random()
 
     def test_flux_contrast_over_corpus(self, small_corpus, small_handcrafted):
         lt = [u.matrix.channels(["SFLUX"]).values.mean()
