@@ -24,8 +24,10 @@ error, and its results file leaves that setting out.
 decodes its WAVs with ``corpus.read_wav``, which fails on any rate but the
 canonical 16 kHz; there is no resampler.  ``extract`` logs such a failure
 per utterance and goes on.  ``train`` and ``ablate`` share one prologue
-(config, manifest, ``--balanced``, channels, dataset).  Extraction runs one
-utterance at a time in the calling thread.
+(config, manifest, ``--balanced``, channels, dataset), and ``ablate`` makes
+one ``experiments.ablate`` call for either method.  ``--optimizer`` offers
+``cnn.OPTIMIZERS``.  Extraction runs one utterance at a time in the calling
+thread.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
@@ -117,9 +119,6 @@ def _prepare_run(args) -> tuple[experiments.ExperimentConfig, tuple[str, ...],
     return config, channels, experiments.prepare_dataset(manifest, channels)
 
 
-_OPTIMIZERS = ("minibatch_gd", "sgd")
-
-
 def _default_help(field: str, cases: dict[str, dict]) -> str:
     """'default: VALUE CASE, ...', each VALUE the training `field` that
     ExperimentConfig(**kwargs) resolves for that case, so --help cannot
@@ -132,7 +131,7 @@ def _default_help(field: str, cases: dict[str, dict]) -> str:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     # p suppresses the defaults: a run flag not given is left out of args
     per_arch = {f"for {a}": {"arch_id": a} for a in sorted(cnn.ARCHITECTURES)}
-    per_optimizer = {f"for {o}": {"train": {"optimizer": o}} for o in _OPTIMIZERS}
+    per_optimizer = {f"for {o}": {"train": {"optimizer": o}} for o in cnn.OPTIMIZERS}
     p.add_argument("--manifest", required=True)
     p.add_argument("--balanced", type=parse_hours, default=None,
                    help="derive a balanced subset first, e.g. 8h")
@@ -140,7 +139,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", default="handcrafted")
     p.add_argument("--seed", type=int)
     p.add_argument("--arch", dest="arch_id", choices=sorted(cnn.ARCHITECTURES))
-    p.add_argument("--optimizer", choices=_OPTIMIZERS,
+    p.add_argument("--optimizer", choices=cnn.OPTIMIZERS,
                    help=_default_help("optimizer", per_arch))
     p.add_argument("--batch-size", type=int,
                    help=_default_help("batch_size", per_optimizer))
@@ -303,10 +302,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, channels, dataset = _prepare_run(args)
-    if args.method == "rfe":
-        table = experiments.rfe_round(channels, dataset, config)
-    else:
-        table = experiments.ife(channels, dataset, config)
+    table = experiments.ablate(args.method, channels, dataset, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / f"ranking_{args.method}.csv")

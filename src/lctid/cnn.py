@@ -89,7 +89,7 @@ __all__ = [
     "TrainingDivergedError", "Conv1D", "ReLU", "MaxPool", "Dropout",
     "Flatten", "Dense", "Model", "TrainConfig", "build",
     "forward_batch", "cross_entropy", "train_step", "train",
-    "save", "load", "default_optimizer", "default_learning_rate",
+    "save", "load", "OPTIMIZERS", "default_optimizer", "default_learning_rate",
     "blas_info",
 ]
 
@@ -472,6 +472,8 @@ CONV_CHANNELS = (32, 32, 64, 64)
 
 NUM_CLASSES = 2
 
+OPTIMIZERS = ("minibatch_gd", "sgd")
+
 
 def default_optimizer(arch_id: str) -> str:
     """CA01/CA02 train with mini-batch gradient descent, CA03 with SGD."""
@@ -684,7 +686,7 @@ def train_step(model: Model, inputs: np.ndarray, targets,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "minibatch_gd"  # or "sgd"
+    optimizer: str = "minibatch_gd"  # one of OPTIMIZERS
     batch_size: int | None = None  # None: 1 for sgd, 32 for minibatch_gd
     learning_rate: float | None = None  # None: default_learning_rate(optimizer)
     epochs: int = 20
@@ -694,7 +696,7 @@ class TrainConfig:
     early_stop_patience: int = 0  # off; an ExperimentConfig with a val split picks 5
 
     def __post_init__(self):
-        if self.optimizer not in ("minibatch_gd", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate",

@@ -34,7 +34,7 @@ __all__ = [
     "ExperimentConfig", "PreparedUtterance", "Dataset",
     "report_from_confusion", "prepare_dataset", "stratified_holdout",
     "kfold_indices", "train_and_evaluate", "evaluate",
-    "rfe_round", "ife", "competition_ranks",
+    "ablate", "competition_ranks",
     "run_record",
 ]
 
@@ -51,9 +51,6 @@ class ClassMetrics:
     fp: int
     fn: int
     tn: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -158,9 +155,6 @@ class Dataset:
     @property
     def labels(self) -> list[str]:
         return [u.dialect for u in self.utterances]
-
-    def __len__(self) -> int:
-        return len(self.utterances)
 
 
 def prepare_dataset(manifest: CorpusManifest,
@@ -270,32 +264,23 @@ class ExperimentConfig:
 EVAL_CHUNK_SEGMENTS = 16
 
 
-def _segment_batch(u: PreparedUtterance, norm: NormStats,
-                   seg_duration_s: float) -> np.ndarray:
-    """(segments, frames, channels): one utterance z-scored and split."""
-    mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
-    return np.asarray([s.matrix.T for s in segmenter.split(mat, seg_duration_s)])
-
-
-def _segment_counts(utterances, seg_duration_s: float) -> list[int]:
-    """Each utterance's number of segments, as `segmenter.split` cuts it."""
-    seg_len = segmenter.segment_frames(seg_duration_s)
-    return [-(-u.matrix.num_frames // seg_len) for u in utterances]
-
-
 def _segments_for(utterances, norm: NormStats, seg_duration_s: float, dtype):
-    """Every utterance's segments stacked in `dtype`, with its class index
-    per segment.  Each utterance's float64 batch is cast into its rows of
-    the one stack as it is made, so the set is never held twice."""
+    """(xs, labels, counts): each segment `segmenter.split` cuts from each
+    utterance's z-scored matrix, written straight into its row of one `dtype`
+    stack, its class index, and each utterance's segment count."""
     seg_len = segmenter.segment_frames(seg_duration_s)
-    counts = _segment_counts(utterances, seg_duration_s)
+    counts = [segmenter.segment_count(u.matrix.num_frames, seg_len)
+              for u in utterances]
     xs = np.empty((sum(counts), seg_len, len(norm.channel_ids)), dtype=dtype)
-    ends = np.cumsum(counts)
+    row = 0
     with np.errstate(over="ignore"):  # forward_batch reports the overflow
-        for u, end, n in zip(utterances, ends, counts):
-            xs[end - n:end] = _segment_batch(u, norm, seg_duration_s)
+        for u in utterances:
+            mat = apply_norm(u.matrix.channels(norm.channel_ids), norm)
+            for seg in segmenter.split(mat, seg_duration_s):
+                xs[row] = seg.matrix.T
+                row += 1
     labels = [DIALECTS.index(u.dialect) for u in utterances]
-    return xs, np.repeat(labels, counts)
+    return xs, np.repeat(labels, counts), counts
 
 
 def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
@@ -303,12 +288,12 @@ def _evaluate_prepared(model: cnn.Model, utterances, norm: NormStats,
     """Score every utterance's segments in chunks; decide per utterance.
     The segments are stacked once, in the model's compute dtype, which is
     what `forward_batch` casts each chunk to."""
-    xs, _ = _segments_for(utterances, norm, seg_duration_s, model.compute_dtype)
+    xs, _, seg_counts = _segments_for(utterances, norm, seg_duration_s,
+                                      model.compute_dtype)
     acts = np.concatenate([cnn.forward_batch(model, xs[i:i + EVAL_CHUNK_SEGMENTS])
                            for i in range(0, len(xs), EVAL_CHUNK_SEGMENTS)])
-    ends = np.cumsum(_segment_counts(utterances, seg_duration_s))[:-1]
     counts: dict[tuple[str, str], int] = {}
-    for u, utt_acts in zip(utterances, np.split(acts, ends)):
+    for u, utt_acts in zip(utterances, np.split(acts, np.cumsum(seg_counts)[:-1])):
         key = (u.dialect, segmenter.aggregate(utt_acts))
         counts[key] = counts.get(key, 0) + 1
     return report_from_confusion(counts)
@@ -321,9 +306,10 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
     """Train one model on the given split and score it on the held-out part.
 
     Segment duration is the first quartile of the training utterances'
-    durations; normalization is fitted on the training matrices only.  The
-    held-out segments are scored in chunks of `EVAL_CHUNK_SEGMENTS`, and
-    each utterance is decided by `segmenter.aggregate` over its own rows.
+    durations; normalization is fitted on the training matrices only, on
+    channel copies dropped before training.  The held-out segments are
+    scored in chunks of `EVAL_CHUNK_SEGMENTS`, and each utterance is
+    decided by `segmenter.aggregate` over its own rows.
     """
     channels = tuple(channels)
     train_utts = [dataset.utterances[i] for i in train_idx]
@@ -331,27 +317,23 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
     if not train_utts or not test_utts:
         raise ValueError("both train and test splits must be non-empty")
 
-    train_mats = [u.matrix.channels(channels) for u in train_utts]
-    seg_duration_s = segmenter.first_quartile([m.duration_s for m in train_mats])
-    norm = fit_norm(train_mats)
-    seg_len = segmenter.segment_frames(seg_duration_s)
-
-    val_utts: list = []
-    if config.val_fraction > 0.0:
-        tr, va = stratified_holdout([u.dialect for u in train_utts],
-                                    config.val_fraction, config.split_seed + 1)
-        val_utts = [train_utts[i] for i in va]
-        train_utts = [train_utts[i] for i in tr]
-
-    model = cnn.build(config.arch_id, input_frames=seg_len,
+    seg_duration_s = segmenter.first_quartile(
+        [u.matrix.duration_s for u in train_utts])
+    norm = fit_norm([u.matrix.channels(channels) for u in train_utts])
+    model = cnn.build(config.arch_id,
+                      input_frames=segmenter.segment_frames(seg_duration_s),
                       in_channels=len(channels), seed=config.train.seed,
                       conv_dropout=config.train.conv_dropout,
                       dense_dropout=config.train.dense_dropout)
-    xs, ys = _segments_for(train_utts, norm, seg_duration_s, model.compute_dtype)
     val_args = {}
-    if val_utts:
-        vx, vy = _segments_for(val_utts, norm, seg_duration_s, model.compute_dtype)
+    if config.val_fraction > 0.0:  # carved out of the training utterances
+        tr, va = stratified_holdout([u.dialect for u in train_utts],
+                                    config.val_fraction, config.split_seed + 1)
+        vx, vy, _ = _segments_for([train_utts[i] for i in va], norm,
+                                  seg_duration_s, model.compute_dtype)
         val_args = {"val_inputs": vx, "val_targets": vy}
+        train_utts = [train_utts[i] for i in tr]
+    xs, ys, _ = _segments_for(train_utts, norm, seg_duration_s, model.compute_dtype)
     history = cnn.train(model, xs, ys, config.train, **val_args)
     report = _evaluate_prepared(model, test_utts, norm, seg_duration_s)
     aux = {"history": history, "norm": norm, "segment_duration_s": seg_duration_s,
@@ -375,12 +357,14 @@ def evaluate(model: cnn.Model, norm: NormStats,
 # ---------------------------------------------------------------------------
 # Ablation harnesses
 
-def _ablation_ranking(method: str, features: Iterable[str], dataset: Dataset,
-                      config: ExperimentConfig) -> RankingTable:
-    """The loop of `rfe_round` ("rfe") and `ife` ("ife"): each feature is
+def ablate(method: str, features: Iterable[str], dataset: Dataset,
+           config: ExperimentConfig) -> RankingTable:
+    """One round of RFE (`method` "rfe") or IFE ("ife"): each feature is
     scored once, by the mean accuracy over the method's splits of a model
-    trained without it ("rfe", k folds) or on it alone ("ife", one held-out
+    trained without it (RFE, k folds) or on it alone (IFE, one held-out
     split), then ranked.  Every check runs before any split or training."""
+    if method not in ("rfe", "ife"):
+        raise ValueError(f"unknown ablation method {method!r}; choose rfe or ife")
     rfe = method == "rfe"
     feats = list(dict.fromkeys(features))
     if len(feats) < (2 if rfe else 1):
@@ -403,23 +387,6 @@ def _ablation_ranking(method: str, features: Iterable[str], dataset: Dataset,
         logger.info("rfe: ablated %s -> accuracy %.4f" if rfe
                     else "ife: %s alone -> accuracy %.4f", f, acc_map[f])
     return _rank_accuracies(acc_map, method)
-
-
-def rfe_round(features: Iterable[str], dataset: Dataset,
-              config: ExperimentConfig) -> RankingTable:
-    """One round of recursive feature elimination.
-
-    Each feature is ablated in turn and the remaining set is scored by
-    k-fold mean accuracy; the lower the accuracy without it, the more the
-    feature mattered (rank 1).  Exactly one evaluation per feature.
-    """
-    return _ablation_ranking("rfe", features, dataset, config)
-
-
-def ife(features: Iterable[str], dataset: Dataset,
-        config: ExperimentConfig) -> RankingTable:
-    """Independent feature evaluation: one train/evaluate per single feature."""
-    return _ablation_ranking("ife", features, dataset, config)
 
 
 # ---------------------------------------------------------------------------

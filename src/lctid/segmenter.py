@@ -17,7 +17,8 @@ from . import dsp
 from .corpus import DIALECTS
 from .features import FeatureMatrix
 
-__all__ = ["Segment", "first_quartile", "segment_frames", "split", "aggregate"]
+__all__ = ["Segment", "first_quartile", "segment_frames", "segment_count",
+           "split", "aggregate"]
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ def first_quartile(durations: Sequence[float]) -> float:
     """The ((n+1)/4)-th term of the ascending durations, 1-based.
 
     A fractional index interpolates linearly between the neighbouring
-    terms and is clamped at the ends.
+    terms; an index below 1 takes the first term, and none reaches n.
     """
     vals = sorted(float(d) for d in durations)
     n = len(vals)
@@ -41,8 +42,6 @@ def first_quartile(durations: Sequence[float]) -> float:
     q = (n + 1) / 4.0
     if q <= 1.0:
         return vals[0]
-    if q >= n:
-        return vals[-1]
     lo = int(np.floor(q))
     frac = q - lo
     return vals[lo - 1] + frac * (vals[lo] - vals[lo - 1])
@@ -57,6 +56,11 @@ def segment_frames(segment_duration_s: float) -> int:
     return frames
 
 
+def segment_count(num_frames: int, seg_len: int) -> int:
+    """ceil(num_frames / seg_len): the number of segments `split` cuts."""
+    return -(-num_frames // seg_len)
+
+
 def split(matrix: FeatureMatrix, segment_duration_s: float) -> list[Segment]:
     """Split into ceil(d_u/d_s) segments; only the last is zero padded.
 
@@ -67,7 +71,7 @@ def split(matrix: FeatureMatrix, segment_duration_s: float) -> list[Segment]:
     if matrix.num_frames == 0:
         raise ValueError("empty feature matrix")
     seg_len = segment_frames(segment_duration_s)
-    n_segments = -(-matrix.num_frames // seg_len)  # ceil
+    n_segments = segment_count(matrix.num_frames, seg_len)
     pad = n_segments * seg_len - matrix.num_frames
     padded = np.zeros((matrix.values.shape[0], n_segments * seg_len))
     padded[:, :matrix.num_frames] = matrix.values

@@ -19,10 +19,12 @@ the seed, the seconds, `nproc`, the CPU model and the numpy version, and per
 end-to-end metric of BENCHMARK.json and per side every value, the median and
 the first and third quartiles (`statistics.quantiles(values, n=4)`, as
 `benchmarks/summarize.py` takes them), plus the median of the per-pair ratios
-change / base, that median with each pair ratio normalised by the pair's
-probe ratio (for time and rate metrics only), and the number of pairs in
-which the change did better, in the metric's `better` direction; per side the
-failed and attempted operations, and every probe time with its spread.
+change / base and the number of pairs in which the change did better, in the
+metric's `better` direction; per side the failed and attempted operations,
+and every probe time with its spread.  The probe times are a record of the
+host beside each run, not a correction: one probe before a 25 s run samples
+the host at one instant, and in A/A runs pair ratios divided by the probe
+ratio spread wider than the raw ones.
 When the working tree's `src/` equals the base's, both sides run one
 program, and the file is `BENCH_AA_<workload>.json`: an A/A run, the spread
 of the same code on this host, which a base-against-change run does not
@@ -69,9 +71,6 @@ def median_s(fn):
 print(json.dumps({"python_s": median_s(loop), "gemm_s": median_s(gemm)}))
 """
 PROBE_KEYS = ("python_s", "gemm_s")
-# How a metric scales with the host's slowness: a time grows with it, a rate
-# shrinks; any other unit (memory) is left unnormalised.
-_HOST_EXPONENT = {"s": 1, "ms": 1, "1/s": -1}
 
 
 def benchmark() -> dict:
@@ -118,11 +117,6 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     `metrics`: name -> {"value", "unit"}) and, when every record of every
     pair has one, `probe`: the `probe_host()` times taken before its run.
 
-    With probes, each metric also gets `probe_normalised_pair_ratio`: the
-    median over pairs of (change / base) / (probe ratio) ** e, where the
-    probe ratio is the ratio of the two sides' summed probe times and e is
-    1 for a time, -1 for a rate and 0 (null) for any other unit.
-
     Raises ValueError unless every record's metric names are exactly the
     names of `metrics`.
     """
@@ -133,7 +127,6 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
                 raise ValueError(f"{side} record has metrics {sorted(pair[side]['metrics'])}, "
                                  f"not BENCHMARK.json's {sorted(names)}")
     probed = all("probe" in p[side] for p in pairs for side in SIDES)
-    host = [_probe_s(p["change"]) / _probe_s(p["base"]) for p in pairs] if probed else None
     out = {"metrics": {}, "operations": {}}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -142,16 +135,10 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
         known = [r for r in ratios if r is not None]
         wins = sum(c > b if higher else c < b
                    for b, c in zip(values["base"], values["change"]))
-        exponent = _HOST_EXPONENT.get(m["unit"])
-        normalised = None
-        if host and exponent:
-            scaled = [r / h ** exponent for r, h in zip(ratios, host) if r is not None]
-            normalised = statistics.median(scaled) if scaled else None
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"],
             **{side: _spread(values[side]) for side in SIDES},
             "median_pair_ratio": statistics.median(known) if known else None,
-            "probe_normalised_pair_ratio": normalised,
             "change_wins": wins,
         }
     for side in SIDES:
@@ -161,7 +148,8 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     if probed:
         out["probe"] = {side: {k: _spread([p[side]["probe"][k] for p in pairs])
                                for k in PROBE_KEYS} for side in SIDES}
-        out["probe"]["median_pair_ratio"] = statistics.median(host)
+        out["probe"]["median_pair_ratio"] = statistics.median(
+            _probe_s(p["change"]) / _probe_s(p["base"]) for p in pairs)
     return out
 
 
@@ -239,8 +227,7 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in report["metrics"].items():
         print(f"{name:<12} base {m['base']['median']:.5g}  change {m['change']['median']:.5g}"
-              f"  pair ratio {m['median_pair_ratio']}  probe-normalised "
-              f"{m['probe_normalised_pair_ratio']}  change better in "
+              f"  pair ratio {m['median_pair_ratio']}  change better in "
               f"{m['change_wins']}/{args.pairs}")
     print(f"wrote {path}")
     return 0

@@ -5,9 +5,10 @@ For each training workload of the benchmark (`benchmarks/lctbench/
 workloads.py`, imported read-only) it generates the workload's corpus at
 `--seed`, extracts it, and trains once with the benchmark's settings and
 split, as `train_once` does.  It then decides every utterance of the corpus
-by the program's path: `experiments._segment_batch` (z-score and split),
-`cnn.forward_batch`, `segmenter.aggregate`.  One untimed pass gives the
-decisions; `--passes` timed passes follow.  It prints one JSON object with,
+with the benchmark's own `workloads.decide`, the path its `utt_ms` metrics
+time: `features.apply_norm`, `segmenter.split`, `cnn.forward_batch`,
+`segmenter.aggregate`.  One untimed pass gives the decisions; `--passes`
+timed passes follow.  It prints one JSON object with,
 per workload:
 
 - `ms_by_segments`: per segment count, the number of utterances with that
@@ -38,40 +39,38 @@ from pathlib import Path
 
 import numpy as np
 
-from lctid import cnn, corpus, experiments, segmenter
+from lctid import corpus, experiments, segmenter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from lctbench import gen, workloads  # noqa: E402
 
 
 def train(wl: workloads.Workload, manifest: corpus.CorpusManifest, seed: int):
-    """The dataset and what one `train_and_evaluate` run of `wl` returns."""
+    """The dataset and one `train_and_evaluate` run of `wl`, as the
+    benchmark's `Trained`."""
     dataset = experiments.prepare_dataset(manifest, wl.featureset)
     train_idx, test_idx = experiments.stratified_holdout(
         dataset.labels, workloads.TEST_FRACTION, workloads.SPLIT_SEED)
-    _, model, aux = experiments.train_and_evaluate(
+    report, model, aux = experiments.train_and_evaluate(
         dataset, dataset.channel_ids, workloads._experiment_config(wl, seed),
         train_idx, test_idx)
-    return dataset, model, aux
+    return dataset, workloads.Trained(report, model, aux, seconds=0.0)
 
 
-def probe(dataset: experiments.Dataset, model: cnn.Model, aux: dict,
+def probe(dataset: experiments.Dataset, trained: workloads.Trained,
           passes: int) -> dict:
     """Decisions of every utterance, then their time over `passes` passes."""
-    norm, seg_s = aux["norm"], aux["segment_duration_s"]
-
-    def decide(u):
-        xs = experiments._segment_batch(u, norm, seg_s)
-        return len(xs), segmenter.aggregate(cnn.forward_batch(model, xs))
-
-    first = [decide(u) for u in dataset.utterances]
+    seg_len = trained.model.input_frames
+    counts = [segmenter.segment_count(u.matrix.num_frames, seg_len)
+              for u in dataset.utterances]
+    decisions = [workloads.decide(trained, u, dataset.channel_ids)
+                 for u in dataset.utterances]
     by_count: dict[int, list[float]] = {}
     for _ in range(passes):
-        for u, (count, _decision) in zip(dataset.utterances, first):
+        for u, count in zip(dataset.utterances, counts):
             t0 = time.perf_counter()
-            decide(u)
+            workloads.decide(trained, u, dataset.channel_ids)
             by_count.setdefault(count, []).append(time.perf_counter() - t0)
-    decisions = [decision for _count, decision in first]
     every = np.concatenate([np.asarray(t) for t in by_count.values()]) * 1e3
     return {
         "ms_by_segments": {

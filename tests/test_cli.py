@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -82,11 +83,12 @@ def test_flag_files_keep_spaces_and_may_hold_verbose(tmp_path):
     ("--learning-rate=0.1", "unrecognized arguments: --learning-rate=0.1"),
     ("--arch=CA99", "argument --arch: invalid choice: 'CA99'"),
     ("--balanced=-1h", "hours must be finite and >= 0, got '-1h'"),
+    ("--balanced=8x", "argument --balanced: cannot parse hours from '8x'"),
     # no flag may be shortened: these are not --epochs and --val-fraction
     ("--epoch=5", "unrecognized arguments: --epoch=5"),
     ("--val=0.1", "unrecognized arguments: --val=0.1"),
-], ids=["unknown-flag", "bad-arch", "bad-balanced", "prefix-of-epochs",
-        "prefix-of-val-fraction"])
+], ids=["unknown-flag", "bad-arch", "bad-balanced", "unparsable-balanced",
+        "prefix-of-epochs", "prefix-of-val-fraction"])
 def test_bad_flag_in_a_file_is_a_usage_error(tmp_path, capsys, line, message):
     # as if typed: exit 2 before the manifest is read
     (tmp_path / "tr.args").write_text(line + "\n")
@@ -120,6 +122,46 @@ def test_extract_and_plot_reject_other_sample_rates(tmp_path, capsys, caplog):
                      "--feature", "F0", "--out", str(tmp_path / "p.svg")]) == 1
     assert "sample rate 8000 Hz" in capsys.readouterr().err
     assert not (tmp_path / "p.svg").exists()
+
+
+def test_plot_draws_one_point_per_frame_of_each_wav(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--out", "corp", "--count", "2", "--dur-min", "0.5",
+                     "--dur-max", "0.9", "--seed", "1"]) == 0
+    wavs = [r.audio_path for r in corpus.load_manifest("corp/manifest.tsv").records]
+    frames = [features.extract_matrix(corpus.read_wav(w), ["F0"]).num_frames
+              for w in wavs]
+    assert frames[0] != frames[1]
+    assert cli.main(["plot", "--wav-a", wavs[0], "--wav-b", wavs[1],
+                     "--feature", "f0", "--out", "f0.svg"]) == 0
+
+    svg = ElementTree.parse("f0.svg").getroot()
+    lines = svg.findall("{http://www.w3.org/2000/svg}polyline")
+    assert [len(line.get("points").split()) for line in lines] == frames
+    rows = Path("f0.csv").read_text().splitlines()
+    assert rows[0] == "utterance,frame,time_s,value"
+    assert [sum(r.startswith(f"{tag},") for r in rows[1:])
+            for tag in "AB"] == frames
+    assert len(rows) == 1 + sum(frames)
+
+    capsys.readouterr()
+    assert cli.main(["plot", "--wav-a", wavs[0], "--wav-b", wavs[1],
+                     "--feature", "pitch", "--out", "p.svg"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown feature id 'pitch'; valid ids: " + ", ".join(features.ALL_IDS) in err
+    assert not Path("p.svg").exists()
+
+
+def test_patience_stops_training_early(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    assert cli.main(["train", "--manifest", "corp/manifest.tsv", "--arch", "CA02",
+                     "--epochs", "40", "--val-fraction", "0.5", "--patience", "1",
+                     "--out", "run"]) == 0
+    record = json.loads(Path("run/results.json").read_text())
+    assert record["config"]["train"]["early_stop_patience"] == 1
+    history = record["history"]
+    assert len(history["val_loss"]) == len(history["train_loss"]) < 40
 
 
 @pytest.mark.parametrize("file_line", [None, "--jobs=2"])

@@ -1354,6 +1354,13 @@ class TestModelFile:
         with pytest.raises(cnn.ModelFileError, match="invalid UTF-8"):
             cnn.load(path)
 
+    def test_version_4_rejected(self, tmp_path):
+        _, blob = _saved(tmp_path)
+        path = tmp_path / "m.lct"
+        path.write_bytes(_patched(blob, 4, "<H", 4))
+        with pytest.raises(cnn.ModelFileError, match="^unsupported model file version 4$"):
+            cnn.load(path)
+
     def test_version_2_rejected(self, tmp_path):
         _, blob = _saved(tmp_path)
         path = tmp_path / "m.lct"
@@ -1384,3 +1391,22 @@ class TestModelFile:
         path.write_bytes(header + struct.pack("<I", 0) + params)
         with pytest.raises(cnn.ModelFileError, match="in_channels must be >= 1"):
             cnn.load(path)
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (0, 40, 3)], ids=["2-D", "empty"])
+def test_train_step_needs_a_3d_batch_of_at_least_one(shape):
+    model = cnn.build("CA02", 40, 3, seed=0)
+    before = [(w.copy(), b.copy()) for w, b in trainable_arrays(model)]
+    with pytest.raises(ValueError, match=r"^batch must be \(B, frames, channels\) "
+                                         r"with B >= 1$"):
+        cnn.train_step(model, np.zeros(shape), np.zeros(0, dtype=int), 0.01,
+                       np.random.default_rng(0))
+    assert all(np.array_equal(w, w0) and np.array_equal(b, b0)
+               for (w, b), (w0, b0) in zip(trainable_arrays(model), before))
+
+
+def test_train_rejects_an_empty_set():
+    model = cnn.build("CA02", 40, 3, seed=0)
+    with pytest.raises(ValueError, match="^empty training set$"):
+        cnn.train(model, np.zeros((0, 40, 3)), np.zeros(0, dtype=int),
+                  cnn.TrainConfig(epochs=1))

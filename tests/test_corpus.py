@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -72,6 +73,13 @@ class TestManifest:
         with pytest.raises(CorpusError, match="duplicate"):
             load_manifest(m)
 
+    def test_empty_id_names_row(self, tmp_path):
+        self._wav(tmp_path / "a.wav")
+        m = tmp_path / "m.tsv"
+        m.write_text("u1\ta.wav\tLT\n \ta.wav\tCT\n")
+        with pytest.raises(CorpusError, match=r"m\.tsv: row 2: empty id$"):
+            load_manifest(m)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             load_manifest(tmp_path / "nope.tsv")
@@ -111,6 +119,31 @@ class TestWav:
         p.write_bytes(blob[:-50])
         with pytest.raises(CorpusError):
             read_wav(p)
+
+    def test_truncated_fmt_chunk(self, tmp_path):
+        fmt = struct.pack("<HHI", 1, 1, SR)  # 8 of the 16 bytes
+        body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        p = tmp_path / "f.wav"
+        p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(CorpusError, match=r"f\.wav: truncated fmt chunk$"):
+            read_wav(p)
+
+    def test_missing_data_chunk(self, tmp_path):
+        blob = raw_wav_bytes(b"")
+        p = tmp_path / "d.wav"
+        p.write_bytes(blob[:blob.index(b"data")])  # RIFF, WAVE and fmt only
+        with pytest.raises(CorpusError, match=r"d\.wav: missing fmt or data chunk$"):
+            read_wav(p)
+
+    def test_empty_data_chunk(self, tmp_path):
+        p = tmp_path / "e.wav"
+        p.write_bytes(raw_wav_bytes(b""))
+        with pytest.raises(CorpusError, match=r"e\.wav: empty audio data$"):
+            read_wav(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CorpusError, match=r"^audio file not found: .*nope\.wav$"):
+            read_wav(tmp_path / "nope.wav")
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "x.wav"
@@ -302,3 +335,12 @@ class TestSynthCorpus:
             acc = np.mean([(("LT" if s > thr else "CT") == d) for s, d in stats])
             best = max(best, acc)
         assert best > 0.9
+
+
+def test_synth_corpus_names_an_output_directory_it_cannot_create(tmp_path):
+    # a directory under a regular file cannot be made, whoever runs the test
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "corp"
+    with pytest.raises(CorpusError, match=f"^output directory not writable: {re.escape(str(out))}: "):
+        synth_corpus(SynthSpec(num_utterances=2, out_dir=str(out)), seed=0)
+    assert not out.exists()

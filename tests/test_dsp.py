@@ -24,6 +24,10 @@ class TestFraming:
         assert isinstance(frames, np.ndarray)
         assert frames.shape == (99, 320)
 
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="^expected a mono signal$"):
+            dsp.frame_signal(np.zeros((2, SR)), 20.0)
+
     def test_187_grid_geometry(self):
         # 1.87 s yields 186 raw 20 ms frames; the 187-frame segment grid is
         # reached downstream by padding.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +72,8 @@ def _config():
 
 
 def test_ife_ranks_signal_above_noise():
-    table = experiments.ife(["SIG", "NOISE"], synthetic_channel_dataset(), _config())
+    table = experiments.ablate("ife", ["SIG", "NOISE"], synthetic_channel_dataset(),
+                               _config())
     ranks = {row.feature_id: row.rank for row in table.rows}
     assert ranks == {"SIG": 1, "NOISE": 2}
     assert len(table.rows) == 2
@@ -82,27 +85,28 @@ def test_rfe_ranks_removing_signal_first():
         train=cnn.TrainConfig(optimizer="minibatch_gd", batch_size=4, epochs=4,
                               seed=0),
         arch_id="CA02", folds=2)
-    table = experiments.rfe_round(["SIG", "NOISE", "NOISE2"], dataset, config)
+    table = experiments.ablate("rfe", ["SIG", "NOISE", "NOISE2"], dataset, config)
     assert table.method == "rfe"
     # without SIG only noise is left; with it every fold separates
     ranks = {row.feature_id: row.rank for row in table.rows}
     assert ranks == {"SIG": 1, "NOISE": 2, "NOISE2": 2}
 
 
-@pytest.mark.parametrize("ablate, feats, error, match", [
-    (experiments.rfe_round, ["SIG", "SIG"], ValueError, "RFE needs at least 2 features"),
-    (experiments.rfe_round, ["SIG", "F0"], KeyError, r"features not in dataset: \['F0'\]"),
-    (experiments.ife, [], ValueError, "IFE needs at least 1 feature"),
-    (experiments.ife, ["F0"], KeyError, r"features not in dataset: \['F0'\]"),
+@pytest.mark.parametrize("method, feats, error, match", [
+    ("rfe", ["SIG", "SIG"], ValueError, "RFE needs at least 2 features"),
+    ("rfe", ["SIG", "F0"], KeyError, r"features not in dataset: \['F0'\]"),
+    ("ife", [], ValueError, "IFE needs at least 1 feature"),
+    ("ife", ["F0"], KeyError, r"features not in dataset: \['F0'\]"),
+    ("RFE", ["SIG", "NOISE"], ValueError, "unknown ablation method 'RFE'; choose rfe or ife"),
 ])
-def test_ablation_checks_its_features_before_any_training(monkeypatch, ablate,
+def test_ablation_checks_its_features_before_any_training(monkeypatch, method,
                                                           feats, error, match):
     def train_and_evaluate(*args, **kwargs):
         raise AssertionError("trained before the features were checked")
 
     monkeypatch.setattr(experiments, "train_and_evaluate", train_and_evaluate)
     with pytest.raises(error, match=match):
-        ablate(feats, synthetic_channel_dataset(), _config())
+        experiments.ablate(method, feats, synthetic_channel_dataset(), _config())
 
 
 @pytest.mark.parametrize("fraction", [0.0, -3.0, 1.0, float("nan")])
@@ -123,7 +127,7 @@ def test_config_rejects_a_val_fraction_outside_0_1(fraction):
     ({"arch_id": "CA99"}, "unknown architecture 'CA99'"),
 ])
 def test_config_rejects_split_settings_before_any_run(settings, match):
-    # rfe_round never reads test_fraction; the config checks it for every run
+    # RFE never reads test_fraction; the config checks it for every run
     with pytest.raises(ValueError, match=match):
         experiments.ExperimentConfig(**settings)
 
@@ -186,12 +190,45 @@ def test_segment_path_matches_the_per_utterance_loop(small_handcrafted):
 
     train_utts = [data.utterances[i] for i in train_idx]
     stacks = [_decision_loop_stack(u, norm, seg_s) for u in train_utts]
-    xs, ys = experiments._segments_for(train_utts, norm, seg_s, model.compute_dtype)
+    xs, ys, seg_counts = experiments._segments_for(train_utts, norm, seg_s,
+                                                   model.compute_dtype)
     assert len(xs) > len(train_utts) == len(stacks)  # some span several segments
+    assert seg_counts == [len(s) for s in stacks]
     assert xs.dtype == np.float32
     assert np.array_equal(xs, np.concatenate(stacks).astype(np.float32))
     assert ys.tolist() == [DIALECTS.index(u.dialect)
                            for u, s in zip(train_utts, stacks) for _ in s]
+
+
+def test_training_features_are_held_once_through_training(monkeypatch):
+    # at cnn.train's entry the training set is live as the model's float32
+    # stack only: the float64 channel copies that fit the normalisation
+    # are gone
+    data = synthetic_channel_dataset(num_utterances=2000, frames=40,
+                                     channels=("SIG", "NOISE", "NOISE2", "NOISE3"))
+    train_idx, test_idx = experiments.stratified_holdout(data.labels, 0.25, 0)
+    features_bytes = sum(data.utterances[i].matrix.values.nbytes for i in train_idx)
+
+    class Entered(Exception):
+        pass
+
+    other_bytes = []
+
+    def spy(model, inputs, *args, **kwargs):
+        params = sum(l.weights.nbytes + l.biases.nbytes for l in model.trainable())
+        live = tracemalloc.get_traced_memory()[0]
+        other_bytes.append(live - inputs.nbytes - params)
+        raise Entered
+
+    monkeypatch.setattr(cnn, "train", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Entered):
+            experiments.train_and_evaluate(data, data.channel_ids, _config(),
+                                           train_idx, test_idx)
+    finally:
+        tracemalloc.stop()
+    assert other_bytes[0] < features_bytes / 2
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +247,8 @@ def trained_ca02(small_handcrafted):
 def test_evaluation_runs_one_forward_per_chunk(trained_ca02, monkeypatch, chunk):
     report, model, aux, test_utts = trained_ca02
     norm, seg_s = aux["norm"], aux["segment_duration_s"]
-    counts = [len(experiments._segment_batch(u, norm, seg_s)) for u in test_utts]
+    _, _, counts = experiments._segments_for(test_utts, norm, seg_s,
+                                             model.compute_dtype)
     ends = np.cumsum(counts)
     if chunk == 3:  # some utterance's segments fall in two chunks
         assert any((e - n) // chunk != (e - 1) // chunk for e, n in zip(ends, counts))
@@ -256,3 +294,74 @@ def test_run_id_is_the_sha256_of_the_sorted_record():
     # the digest an earlier release gave this record: run ids stay comparable
     assert record["run_id"] == "90dd6f06610b"
     assert "folds" not in record["config"]
+
+
+def test_validation_split_is_carved_from_the_training_indices(monkeypatch):
+    data = synthetic_channel_dataset(num_utterances=40)
+    train_idx, test_idx = experiments.stratified_holdout(data.labels, 0.25, 0)
+    config = experiments.ExperimentConfig(
+        train=cnn.TrainConfig(optimizer="minibatch_gd", batch_size=4, epochs=3,
+                              seed=0),
+        arch_id="CA02", test_fraction=0.25, val_fraction=0.25, split_seed=5)
+    seen = {}
+    train = cnn.train
+
+    def spy(model, inputs, targets, cfg, **val):
+        seen.update(inputs=inputs, targets=targets, **val)
+        return train(model, inputs, targets, cfg, **val)
+
+    monkeypatch.setattr(cnn, "train", spy)
+    _, model, aux = experiments.train_and_evaluate(data, data.channel_ids, config,
+                                                   train_idx, test_idx)
+
+    # the validation utterances are picked from the training ones only, by
+    # a holdout of their labels at the split seed + 1
+    train_utts = [data.utterances[i] for i in train_idx]
+    tr, va = experiments.stratified_holdout([u.dialect for u in train_utts], 0.25, 6)
+    norm, seg_s = aux["norm"], aux["segment_duration_s"]
+
+    def stack(utts):
+        return experiments._segments_for(utts, norm, seg_s, model.compute_dtype)
+
+    xs, ys, _ = stack([train_utts[i] for i in tr])
+    vx, vy, _ = stack([train_utts[i] for i in va])
+    assert np.array_equal(seen["val_inputs"], vx)
+    assert np.array_equal(seen["val_targets"], vy)
+    assert np.array_equal(seen["inputs"], xs) and np.array_equal(seen["targets"], ys)
+    assert aux["num_train_segments"] == len(xs) == len(stack(train_utts)[0]) - len(vx)
+    history = aux["history"]
+    assert len(history["val_loss"]) == len(history["train_loss"]) == 3
+
+
+@pytest.mark.parametrize("labels, fraction", [
+    (["LT"], 0.5),                        # one class, of one utterance
+    (["LT"] * 3 + ["CT"] * 6, 0.9),      # LT's 3 would all be held out
+])
+def test_holdout_rejects_a_class_too_small_to_hold_out(labels, fraction):
+    with pytest.raises(ValueError, match="class LT: not enough utterances to hold out"):
+        experiments.stratified_holdout(labels, fraction, seed=0)
+
+
+@pytest.mark.parametrize("labels, k, match", [
+    (["LT", "CT"] * 4, 1, "k must be >= 2"),
+    (["LT"] * 2 + ["CT"] * 5, 3, "class LT has 2 utterances; need >= 3"),
+])
+def test_kfold_rejects_too_few_folds_or_a_class_smaller_than_k(labels, k, match):
+    with pytest.raises(ValueError, match=match):
+        experiments.kfold_indices(labels, k, seed=0)
+
+
+@pytest.mark.parametrize("train_idx, test_idx", [([], [0, 1]), ([0, 1], [])])
+def test_train_and_evaluate_rejects_an_empty_split(train_idx, test_idx):
+    data = synthetic_channel_dataset(num_utterances=4)
+    with pytest.raises(ValueError, match="both train and test splits must be non-empty"):
+        experiments.train_and_evaluate(data, data.channel_ids, _config(),
+                                       train_idx, test_idx)
+
+
+def test_gap_stats_span_the_distinct_accuracies():
+    rows = tuple(experiments.RankingRow(f"F{i}", acc, 0)
+                 for i, acc in enumerate([1.0, 0.25, 0.5, 0.25]))
+    table = experiments.RankingTable(rows=rows, method="ife")
+    # distinct 0.25, 0.5, 1.0: gaps 0.25 and 0.5
+    assert table.gap_stats() == (0.25, 0.5, 0.375)

@@ -336,6 +336,11 @@ class TestResolveFeatureset:
         with pytest.raises(ValueError, match=r"unknown feature ids \['FOO'\]"):
             resolve_featureset("mfcc,FOO")
 
+    @pytest.mark.parametrize("spec", [" , ", []])
+    def test_empty_set(self, spec):
+        with pytest.raises(ValueError, match="^empty feature set$"):
+            resolve_featureset(spec)
+
 
 class TestExtractMatrix:
     def test_one_second_handcrafted_geometry(self):
@@ -480,6 +485,25 @@ class TestNorm:
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty"):
             fit_norm([])
+
+    def test_mixed_channel_ids_rejected(self):
+        mats = self._matrices(np.random.default_rng(3), n=2)
+        mats.append(mats[0].channels(["E", "D", "C", "B", "A"]))
+        with pytest.raises(ValueError, match="^inconsistent channel ids across "
+                                             "training matrices$"):
+            fit_norm(mats)
+
+    def test_one_frame_rejected(self):
+        one = FeatureMatrix(values=np.ones((2, 1)), channel_ids=("A", "B"))
+        with pytest.raises(ValueError, match="^need at least 2 training frames "
+                                             "to fit normalization$"):
+            fit_norm([one])
+
+    def test_channels_names_the_missing_ids(self):
+        m = self._matrices(np.random.default_rng(4), n=1)[0]
+        assert m.channels(["C", "A"]).channel_ids == ("C", "A")
+        with pytest.raises(KeyError, match=r"channels not present: \['X', 'Y'\]"):
+            m.channels(["A", "X", "Y"])
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(2)
