@@ -26,8 +26,9 @@ canonical 16 kHz; there is no resampler.  ``extract`` logs such a failure
 per utterance and goes on.  ``train`` and ``ablate`` share one prologue
 (config, manifest, ``--balanced``, channels, dataset), and ``ablate`` makes
 one ``experiments.ablate`` call for either method.  ``--optimizer`` offers
-``cnn.OPTIMIZERS``.  Extraction runs one utterance at a time in the calling
-thread.
+``cnn.OPTIMIZERS``.  ``extract`` and ``plot`` extract one utterance at a
+time in the calling thread; ``train``, ``ablate`` and ``eval`` extract
+through ``experiments.prepare_dataset``, one process per core.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """

@@ -74,6 +74,7 @@ batches of 4 rows and more keep the bits of one sgemm.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import struct
@@ -261,6 +262,23 @@ _BLAS = {np.dtype(np.float32): _ger_gemm("s", ctypes.c_float),  # (ger, gemm)
          np.dtype(np.float64): _ger_gemm("d", ctypes.c_double)}
 _BLAS_CONFIG = _bind("scipy_openblas_get_config64_", ctypes.c_char_p)
 _BLAS_THREADS = _bind("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_BLAS_SET_THREADS = _bind("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread and restore the count after it.
+    Where numpy's BLAS does not export the thread getter and setter, the
+    block runs at whatever count BLAS has."""
+    if _BLAS_THREADS is None or _BLAS_SET_THREADS is None:
+        yield
+        return
+    threads = _BLAS_THREADS()
+    _BLAS_SET_THREADS(1)
+    try:
+        yield
+    finally:
+        _BLAS_SET_THREADS(threads)
 
 
 def _blas_routines(dtype) -> tuple:

@@ -10,12 +10,19 @@ correctly rounded division.
 RFE ranks features by the accuracy drop when each one is removed (k-fold
 mean per removal); IFE ranks them by the accuracy each achieves alone.
 Tied accuracies share a rank and the following rank numbers are skipped.
+
+`prepare_dataset` extracts a corpus in one process per core this process
+may run on, each at one BLAS thread, so its matrices are those of a serial
+loop at one thread whatever the process's thread count.  Every split refuses a class in DIALECTS
+with no utterances, and a validation split is carved out of the training
+utterances before the segment length and the normalisation are fitted.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -157,15 +164,91 @@ class Dataset:
         return [u.dialect for u in self.utterances]
 
 
+def _share_count(num_records: int) -> int:
+    """W, the number of extraction shares: one per core this process may run
+    on, at most one per record.  1 where a child cannot be started by fork or
+    held to one BLAS thread."""
+    import multiprocessing
+
+    if (cnn._BLAS_THREADS is None or cnn._BLAS_SET_THREADS is None
+            or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), num_records))
+
+
+def _extract_share(records, channels) -> tuple[list[FeatureMatrix], Exception | None]:
+    """Each record's matrix in order, up to the first record that fails:
+    (matrices, None), or (the matrices before it, its exception)."""
+    matrices = []
+    for r in records:
+        try:
+            matrices.append(extract_matrix(load_audio(r), channels, source_id=r.id))
+        except Exception as exc:
+            return matrices, exc
+    return matrices, None
+
+
+def _share_process(conn, records, channels) -> None:
+    """A child's whole work: its share at one BLAS thread, sent down `conn`."""
+    cnn._BLAS_SET_THREADS(1)
+    conn.send(_extract_share(records, channels))
+    conn.close()
+
+
 def prepare_dataset(manifest: CorpusManifest,
                     featureset: str | Iterable[str]) -> Dataset:
-    """Extract the requested channels for every utterance in the manifest."""
+    """Extract the requested channels for every utterance in the manifest.
+
+    The records are dealt into W shares, `records[k::W]`, W from
+    `_share_count`.  This process extracts share 0; each other share runs
+    in a fork-started child and comes back through the child's own pipe,
+    received in the calling thread: a `multiprocessing.Pool`'s result thread
+    unpickled them into a second malloc arena, for 2.9 MB more peak RSS.
+    Every share runs at one BLAS thread, so each matrix is the one a serial
+    loop computes at one thread, at any `OPENBLAS_NUM_THREADS`: the SHS
+    matmul rounds differently at two.  The children are forked, not
+    spawned, so they start with the program and its analysis tables already
+    imported.  On a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX kernels,
+    `OPENBLAS_NUM_THREADS=2`; medians of 9 over 48 utterances, 94 s of
+    audio) a serial loop took 438 ms, two processes at two BLAS threads each
+    736 ms, their four threads contending for two cores, and two processes
+    at one thread 317 ms.  A share stops at its first failure, and the
+    failure of the lowest record index is raised: the error the serial loop
+    raises.  No child outlives the call.
+    """
+    import multiprocessing  # about 16 ms of imports that only this call needs
+
     channels = resolve_featureset(featureset)
+    records = manifest.records
+    w = _share_count(len(records))
+    children = []
+    try:
+        with cnn._one_blas_thread():
+            for k in range(1, w):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.get_context("fork").Process(
+                    target=_share_process, args=(sender, records[k::w], channels))
+                child.start()
+                children.append((child, receiver))
+                sender.close()  # a child that dies then reads as EOFError
+            shares = [_extract_share(records[0::w], channels)]
+        shares += [receiver.recv() for _, receiver in children]
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            child.join()
+            receiver.close()
+    failures = [(k + len(matrices) * w, exc)
+                for k, (matrices, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     prepared = tuple(
-        PreparedUtterance(id=r.id, dialect=r.dialect,
-                          matrix=extract_matrix(load_audio(r), channels,
-                                                source_id=r.id))
-        for r in manifest.records)
+        PreparedUtterance(id=r.id, dialect=r.dialect, matrix=shares[i % w][0][i // w])
+        for i, r in enumerate(records))
     return Dataset(utterances=prepared, channel_ids=channels)
 
 
@@ -174,17 +257,25 @@ def _check_holdout_fraction(fraction: float) -> None:
         raise ValueError(f"holdout fraction must be in (0, 1), got {fraction}")
 
 
+def _class_members(labels: Sequence[str], dialect: str) -> list[int]:
+    """The indices of `dialect`'s labels; ValueError if there are none."""
+    members = [i for i, lab in enumerate(labels) if lab == dialect]
+    if not members:
+        raise ValueError(f"no {dialect} utterances: a split needs both "
+                         f"classes {DIALECTS}")
+    return members
+
+
 def stratified_holdout(labels: Sequence[str], test_fraction: float,
                        seed: int) -> tuple[list[int], list[int]]:
-    """Disjoint per-class split; deterministic for a given seed."""
+    """Disjoint per-class split; deterministic for a given seed.  Every class
+    in DIALECTS must have utterances."""
     _check_holdout_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
     for d in DIALECTS:
-        members = [i for i, lab in enumerate(labels) if lab == d]
-        if not members:
-            continue
+        members = _class_members(labels, d)
         order = rng.permutation(len(members))
         n_test = max(1, int(round(test_fraction * len(members))))
         if n_test >= len(members):
@@ -196,14 +287,15 @@ def stratified_holdout(labels: Sequence[str], test_fraction: float,
 
 def kfold_indices(labels: Sequence[str], k: int,
                   seed: int) -> list[tuple[list[int], list[int]]]:
-    """Stratified k-fold: validation folds are disjoint and cover everything."""
+    """Stratified k-fold: validation folds are disjoint and cover everything.
+    Every class in DIALECTS must have at least k utterances."""
     if k < 2:
         raise ValueError("k must be >= 2")
     rng = np.random.default_rng(seed)
     fold_members: list[list[int]] = [[] for _ in range(k)]
     for d in DIALECTS:
-        members = [i for i, lab in enumerate(labels) if lab == d]
-        if members and len(members) < k:
+        members = _class_members(labels, d)
+        if len(members) < k:
             raise ValueError(f"class {d} has {len(members)} utterances; need >= {k}")
         order = rng.permutation(len(members))
         for j, m in enumerate(order):
@@ -305,9 +397,11 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
                        ) -> tuple[EvalReport, cnn.Model, dict]:
     """Train one model on the given split and score it on the held-out part.
 
-    Segment duration is the first quartile of the training utterances'
-    durations; normalization is fitted on the training matrices only, on
-    channel copies dropped before training.  The held-out segments are
+    With `val_fraction` > 0 the validation utterances are carved out of the
+    training ones first.  Segment duration is the first quartile of the
+    remaining training utterances' durations, and normalization is fitted on
+    their matrices only, on channel copies dropped before training, so no
+    validation frame reaches either.  The held-out segments are
     scored in chunks of `EVAL_CHUNK_SEGMENTS`, and each utterance is
     decided by `segmenter.aggregate` over its own rows.
     """
@@ -317,6 +411,12 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
     if not train_utts or not test_utts:
         raise ValueError("both train and test splits must be non-empty")
 
+    val_utts = []
+    if config.val_fraction > 0.0:  # carved out of the training utterances
+        tr, va = stratified_holdout([u.dialect for u in train_utts],
+                                    config.val_fraction, config.split_seed + 1)
+        val_utts = [train_utts[i] for i in va]
+        train_utts = [train_utts[i] for i in tr]
     seg_duration_s = segmenter.first_quartile(
         [u.matrix.duration_s for u in train_utts])
     norm = fit_norm([u.matrix.channels(channels) for u in train_utts])
@@ -326,13 +426,10 @@ def train_and_evaluate(dataset: Dataset, channels: Sequence[str],
                       conv_dropout=config.train.conv_dropout,
                       dense_dropout=config.train.dense_dropout)
     val_args = {}
-    if config.val_fraction > 0.0:  # carved out of the training utterances
-        tr, va = stratified_holdout([u.dialect for u in train_utts],
-                                    config.val_fraction, config.split_seed + 1)
-        vx, vy, _ = _segments_for([train_utts[i] for i in va], norm,
-                                  seg_duration_s, model.compute_dtype)
+    if val_utts:
+        vx, vy, _ = _segments_for(val_utts, norm, seg_duration_s,
+                                  model.compute_dtype)
         val_args = {"val_inputs": vx, "val_targets": vy}
-        train_utts = [train_utts[i] for i in tr]
     xs, ys, _ = _segments_for(train_utts, norm, seg_duration_s, model.compute_dtype)
     history = cnn.train(model, xs, ys, config.train, **val_args)
     report = _evaluate_prepared(model, test_utts, norm, seg_duration_s)

@@ -394,6 +394,20 @@ def test_balanced_zero_hours_names_the_hours(tmp_path, monkeypatch, capsys):
     assert not Path("run").exists()
 
 
+def test_one_class_manifest_exits_1_naming_the_missing_class(tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SYNTH) == 0
+    manifest = corpus.load_manifest("corp/manifest.tsv")
+    lt_only = tuple(r for r in manifest.records if r.dialect == "LT")
+    assert len(lt_only) == 6
+    corpus.save_manifest(corpus.CorpusManifest(records=lt_only), "lt.tsv")
+    assert cli.main(["train", "--manifest", "lt.tsv", "--out", "run"]) == 1
+    assert ("error: no CT utterances: a split needs both classes ('LT', 'CT')"
+            in capsys.readouterr().err)
+    assert not Path("run").exists()
+
+
 def test_ablate_rfe_writes_one_row_per_feature(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(SYNTH) == 0

@@ -1,12 +1,17 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctid import cnn, dsp, experiments, segmenter
-from lctid.corpus import DIALECTS
-from lctid.features import apply_norm
+from lctid import cnn, corpus, dsp, experiments, segmenter
+from lctid.corpus import DIALECTS, CorpusError, CorpusManifest
+from lctid.features import apply_norm, extract_matrix, resolve_featureset
 from conftest import synthetic_channel_dataset
 
 
@@ -365,3 +370,164 @@ def test_gap_stats_span_the_distinct_accuracies():
     table = experiments.RankingTable(rows=rows, method="ife")
     # distinct 0.25, 0.5, 1.0: gaps 0.25 and 0.5
     assert table.gap_stats() == (0.25, 0.5, 0.375)
+
+
+def test_holdout_refuses_a_missing_class():
+    with pytest.raises(ValueError, match=r"^no CT utterances: a split needs both "
+                                         r"classes \('LT', 'CT'\)$"):
+        experiments.stratified_holdout(["LT"] * 8, 0.25, seed=0)
+
+
+def test_kfold_refuses_a_missing_class():
+    with pytest.raises(ValueError, match=r"^no LT utterances: a split needs both "
+                                         r"classes \('LT', 'CT'\)$"):
+        experiments.kfold_indices(["CT"] * 6, 3, seed=0)
+
+
+def test_no_validation_frame_reaches_the_normalisation(monkeypatch):
+    data = synthetic_channel_dataset(num_utterances=40)
+    train_idx, test_idx = experiments.stratified_holdout(data.labels, 0.25, 0)
+    config = experiments.ExperimentConfig(
+        train=cnn.TrainConfig(optimizer="minibatch_gd", batch_size=4, epochs=1,
+                              seed=0),
+        arch_id="CA02", test_fraction=0.25, val_fraction=0.25, split_seed=5)
+    fitted = []
+    fit_norm = experiments.fit_norm
+
+    def spy(matrices):
+        fitted.extend(m.values.tobytes() for m in matrices)
+        return fit_norm(matrices)
+
+    monkeypatch.setattr(experiments, "fit_norm", spy)
+    experiments.train_and_evaluate(data, data.channel_ids, config, train_idx, test_idx)
+
+    train_utts = [data.utterances[i] for i in train_idx]
+    tr, va = experiments.stratified_holdout([u.dialect for u in train_utts], 0.25, 6)
+    assert va  # the validation split is not empty
+    assert fitted == [train_utts[i].matrix.values.tobytes() for i in tr]
+    assert not set(fitted) & {train_utts[i].matrix.values.tobytes() for i in va}
+
+
+# ---------------------------------------------------------------------------
+# Extraction shares: prepare_dataset deals the records to W processes
+
+
+def _one_thread_serial_loop(records, channels):
+    """The matrices of a serial loop at one BLAS thread, or the exception it
+    stops at."""
+    with cnn._one_blas_thread():
+        try:
+            return [extract_matrix(corpus.load_audio(r), channels, source_id=r.id)
+                    for r in records]
+        except Exception as exc:
+            return exc
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the number of cores prepare_dataset sees."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return set_cores
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_every_share_count_gives_the_one_thread_serial_matrices(small_corpus, cores, w):
+    manifest = CorpusManifest(records=small_corpus.records[:11])
+    channels = resolve_featureset("handcrafted")
+    expected = _one_thread_serial_loop(manifest.records, channels)
+    threads = cnn.blas_info()["threads"]
+    cores(w)
+    assert experiments._share_count(len(manifest.records)) == w
+    dataset = experiments.prepare_dataset(manifest, "handcrafted")
+    assert [(u.id, u.dialect) for u in dataset.utterances] == [
+        (r.id, r.dialect) for r in manifest.records]
+    for utt, mat in zip(dataset.utterances, expected, strict=True):
+        assert utt.matrix.channel_ids == mat.channel_ids == channels
+        assert utt.matrix.values.dtype == mat.values.dtype
+        assert utt.matrix.values.shape == mat.values.shape
+        assert utt.matrix.values.tobytes() == mat.values.tobytes()
+    assert multiprocessing.active_children() == []
+    assert cnn.blas_info()["threads"] == threads
+
+
+def test_share_count_is_at_most_one_per_record(cores):
+    cores(2)
+    assert experiments._share_count(1) == 1
+    assert experiments._share_count(0) == 1
+
+
+@pytest.mark.parametrize("lower_bad, higher_bad", [
+    ("truncated", "too short"), ("too short", "truncated")])
+@pytest.mark.parametrize("w", [2, 3])
+def test_the_lowest_failing_record_is_raised_as_the_serial_loop_raises(
+        small_corpus, tmp_path, cores, w, lower_bad, higher_bad):
+    # records 2 and 3 are in different shares at W = 2 and at W = 3
+    (tmp_path / "truncated.wav").write_bytes(b"RIFFxxxx")
+    corpus.write_wav(tmp_path / "too short.wav",
+                     corpus.Waveform(np.zeros(10), corpus.CANONICAL_RATE_HZ))
+    records = list(small_corpus.records[:7])
+    for i, name in ((2, lower_bad), (3, higher_bad)):
+        records[i] = corpus.UtteranceRecord(f"bad{i}", str(tmp_path / f"{name}.wav"),
+                                            records[i].dialect)
+    manifest = CorpusManifest(records=tuple(records))
+    expected = _one_thread_serial_loop(records, ("F0", "ZCR"))
+    assert type(expected) is (CorpusError if lower_bad == "truncated" else ValueError)
+    threads = cnn.blas_info()["threads"]
+    cores(w)
+    with pytest.raises(type(expected)) as raised:
+        experiments.prepare_dataset(manifest, ["F0", "ZCR"])
+    assert type(raised.value) is type(expected)
+    assert str(raised.value) == str(expected)
+    assert multiprocessing.active_children() == []
+    assert cnn.blas_info()["threads"] == threads
+
+
+def test_no_child_outlives_an_interrupted_call(small_corpus, cores, monkeypatch):
+    class Interrupted(BaseException):
+        pass
+
+    parent = os.getpid()
+    extract_share = experiments._extract_share
+
+    def interrupted_here(records, channels):
+        if os.getpid() == parent:
+            raise Interrupted
+        return extract_share(records, channels)
+
+    monkeypatch.setattr(experiments, "_extract_share", interrupted_here)
+    threads = cnn.blas_info()["threads"]
+    cores(3)
+    with pytest.raises(Interrupted):
+        experiments.prepare_dataset(CorpusManifest(records=small_corpus.records[:6]),
+                                    "handcrafted")
+    assert multiprocessing.active_children() == []
+    assert cnn.blas_info()["threads"] == threads
+
+
+_DIGEST_SCRIPT = """\
+import hashlib, sys
+from lctid import cnn, corpus, experiments
+dataset = experiments.prepare_dataset(corpus.load_manifest(sys.argv[1]), "all")
+digest = hashlib.sha256()
+for u in dataset.utterances:
+    digest.update(u.id.encode() + u.matrix.values.tobytes())
+print(cnn.blas_info()["threads"], digest.hexdigest())
+"""
+
+
+def test_the_matrices_do_not_depend_on_the_blas_thread_count(small_corpus, tmp_path):
+    # in fresh processes: OpenBLAS reads the variable when numpy loads it
+    manifest = CorpusManifest(records=small_corpus.records[:12])
+    corpus.save_manifest(manifest, tmp_path / "m.tsv")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, str(tmp_path / "m.tsv")],
+                             env=env, check=True, capture_output=True, text=True,
+                             timeout=120)
+        reported, digests[threads] = out.stdout.split()
+        assert reported == threads  # the count the process ran at, restored
+    assert digests["1"] == digests["2"]
