@@ -91,7 +91,7 @@ __all__ = [
     "Flatten", "Dense", "Model", "TrainConfig", "build",
     "forward_batch", "cross_entropy", "train_step", "train",
     "save", "load", "OPTIMIZERS", "default_optimizer", "default_learning_rate",
-    "blas_info",
+    "blas_info", "BLAS_PINNABLE", "one_blas_thread",
 ]
 
 
@@ -263,14 +263,17 @@ _BLAS = {np.dtype(np.float32): _ger_gemm("s", ctypes.c_float),  # (ger, gemm)
 _BLAS_CONFIG = _bind("scipy_openblas_get_config64_", ctypes.c_char_p)
 _BLAS_THREADS = _bind("scipy_openblas_get_num_threads64_", ctypes.c_int)
 _BLAS_SET_THREADS = _bind("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+# whether `one_blas_thread` holds BLAS to one thread: numpy's BLAS exports
+# the thread getter and setter
+BLAS_PINNABLE = _BLAS_THREADS is not None and _BLAS_SET_THREADS is not None
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block at one BLAS thread and restore the count after it.
-    Where numpy's BLAS does not export the thread getter and setter, the
-    block runs at whatever count BLAS has."""
-    if _BLAS_THREADS is None or _BLAS_SET_THREADS is None:
+    Where `BLAS_PINNABLE` is false, the block runs at whatever count BLAS
+    has."""
+    if not BLAS_PINNABLE:
         yield
         return
     threads = _BLAS_THREADS()

@@ -13,9 +13,10 @@ Tied accuracies share a rank and the following rank numbers are skipped.
 
 `prepare_dataset` extracts a corpus in one process per core this process
 may run on, each at one BLAS thread, so its matrices are those of a serial
-loop at one thread whatever the process's thread count.  Every split refuses a class in DIALECTS
-with no utterances, and a validation split is carved out of the training
-utterances before the segment length and the normalisation are fitted.
+loop at one thread whatever the process's thread count.  Every split
+refuses a class in DIALECTS with no utterances, and a validation split is
+carved out of the training utterances before the segment length and the
+normalisation are fitted.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import traceback
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -170,8 +173,7 @@ def _share_count(num_records: int) -> int:
     held to one BLAS thread."""
     import multiprocessing
 
-    if (cnn._BLAS_THREADS is None or cnn._BLAS_SET_THREADS is None
-            or not hasattr(os, "sched_getaffinity")
+    if (not cnn.BLAS_PINNABLE or not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), num_records))
@@ -190,10 +192,17 @@ def _extract_share(records, channels) -> tuple[list[FeatureMatrix], Exception | 
 
 
 def _share_process(conn, records, channels) -> None:
-    """A child's whole work: its share at one BLAS thread, sent down `conn`."""
-    cnn._BLAS_SET_THREADS(1)
-    conn.send(_extract_share(records, channels))
+    """A child's whole work: its share at one BLAS thread, sent down `conn`
+    with the failure's traceback as text, which pickling the failure drops."""
+    with cnn.one_blas_thread():
+        matrices, exc = _extract_share(records, channels)
+    tb = None if exc is None else "".join(traceback.format_exception(exc))
+    conn.send((matrices, exc, tb))
     conn.close()
+
+
+class _ShareTraceback(Exception):
+    """The cause of a failure re-raised from a child: where it happened."""
 
 
 def prepare_dataset(manifest: CorpusManifest,
@@ -203,49 +212,69 @@ def prepare_dataset(manifest: CorpusManifest,
     The records are dealt into W shares, `records[k::W]`, W from
     `_share_count`.  This process extracts share 0; each other share runs
     in a fork-started child and comes back through the child's own pipe,
-    received in the calling thread: a `multiprocessing.Pool`'s result thread
-    unpickled them into a second malloc arena, for 2.9 MB more peak RSS.
-    Every share runs at one BLAS thread, so each matrix is the one a serial
-    loop computes at one thread, at any `OPENBLAS_NUM_THREADS`: the SHS
-    matmul rounds differently at two.  The children are forked, not
-    spawned, so they start with the program and its analysis tables already
-    imported.  On a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX kernels,
-    `OPENBLAS_NUM_THREADS=2`; medians of 9 over 48 utterances, 94 s of
-    audio) a serial loop took 438 ms, two processes at two BLAS threads each
-    736 ms, their four threads contending for two cores, and two processes
-    at one thread 317 ms.  A share stops at its first failure, and the
-    failure of the lowest record index is raised: the error the serial loop
-    raises.  No child outlives the call.
+    received in the calling thread, since a `multiprocessing.Pool`'s result
+    thread unpickles into a second malloc arena.  The children are forked,
+    not spawned, so they start with the program already imported.  Every
+    share runs at one BLAS thread, so each matrix is the one a serial loop
+    computes at one thread, at any `OPENBLAS_NUM_THREADS` (the SHS matmul
+    rounds differently at two), and the shares' processes do not contend
+    for cores with BLAS threads.  A share stops at its first failure, and
+    the failure of the lowest record index is raised: the error the serial
+    loop raises, caused by the child's traceback where a child hit it.  No
+    child outlives the call.
     """
     import multiprocessing  # about 16 ms of imports that only this call needs
 
     channels = resolve_featureset(featureset)
     records = manifest.records
     w = _share_count(len(records))
-    children = []
+    children = []  # (process, receiving end), each listed before it starts
     try:
-        with cnn._one_blas_thread():
+        with cnn.one_blas_thread():
             for k in range(1, w):
                 receiver, sender = multiprocessing.Pipe(duplex=False)
                 child = multiprocessing.get_context("fork").Process(
                     target=_share_process, args=(sender, records[k::w], channels))
-                child.start()
                 children.append((child, receiver))
-                sender.close()  # a child that dies then reads as EOFError
-            shares = [_extract_share(records[0::w], channels)]
-        shares += [receiver.recv() for _, receiver in children]
+                # From Python 3.12 os.fork warns when the process runs other
+                # threads.  OpenBLAS stops its pool before a fork (its
+                # pthread_atfork handler), and a child runs only extraction,
+                # which takes no lock, with BLAS at one thread in its one
+                # thread, so it waits on no thread that fork left behind.
+                with sender, warnings.catch_warnings():  # then closes `sender`
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                        DeprecationWarning)
+                    child.start()
+            shares = [(*_extract_share(records[0::w], channels), None)]
+        for k, (child, receiver) in enumerate(children, 1):
+            try:
+                shares.append(receiver.recv())
+            except EOFError:  # the child ended without sending
+                child.join()
+                raise RuntimeError(
+                    f"the process extracting records[{k}::{w}], from "
+                    f"{records[k].id}, exited with code {child.exitcode} and "
+                    "no result") from None
     except BaseException:
         for child, _ in children:
-            child.terminate()
+            if child.pid is not None:
+                child.terminate()
         raise
     finally:
         for child, receiver in children:
-            child.join()
+            if child.pid is not None:
+                child.join()
             receiver.close()
-    failures = [(k + len(matrices) * w, exc)
-                for k, (matrices, exc) in enumerate(shares) if exc is not None]
+    failures = [(k + len(matrices) * w, exc, tb)
+                for k, (matrices, exc, tb) in enumerate(shares) if exc is not None]
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        index, exc, tb = min(failures, key=lambda f: f[0])
+        if tb is None:
+            raise exc
+        raise exc from _ShareTraceback(
+            f"record {records[index].id}, in the process extracting "
+            f"records[{index % w}::{w}]:\n{tb}")
     prepared = tuple(
         PreparedUtterance(id=r.id, dialect=r.dialect, matrix=shares[i % w][0][i // w])
         for i, r in enumerate(records))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,7 +416,7 @@ def test_no_validation_frame_reaches_the_normalisation(monkeypatch):
 def _one_thread_serial_loop(records, channels):
     """The matrices of a serial loop at one BLAS thread, or the exception it
     stops at."""
-    with cnn._one_blas_thread():
+    with cnn.one_blas_thread():
         try:
             return [extract_matrix(corpus.load_audio(r), channels, source_id=r.id)
                     for r in records]
@@ -479,8 +480,50 @@ def test_the_lowest_failing_record_is_raised_as_the_serial_loop_raises(
         experiments.prepare_dataset(manifest, ["F0", "ZCR"])
     assert type(raised.value) is type(expected)
     assert str(raised.value) == str(expected)
+    cause = raised.value.__cause__
+    if w == 3:  # record 2 is in a child's share, records[2::3]
+        assert type(cause) is experiments._ShareTraceback
+        assert str(cause).startswith(
+            "record bad2, in the process extracting records[2::3]:\n"
+            "Traceback (most recent call last):\n")
+        assert "in _extract_share" in str(cause)
+        assert str(cause).endswith(f"{type(expected).__name__}: {expected}\n")
+    else:  # record 2 is in this process's share
+        assert cause is None
     assert multiprocessing.active_children() == []
     assert cnn.blas_info()["threads"] == threads
+
+
+def test_a_child_that_sends_nothing_is_named(small_corpus, cores, monkeypatch):
+    monkeypatch.setattr(experiments, "_share_process", lambda *args: os._exit(3))
+    records = small_corpus.records[:6]
+    threads = cnn.blas_info()["threads"]
+    cores(2)
+    with pytest.raises(RuntimeError, match=(
+            rf"^the process extracting records\[1::2\], from {records[1].id}, "
+            r"exited with code 3 and no result$")):
+        experiments.prepare_dataset(CorpusManifest(records=records), ["F0", "ZCR"])
+    assert multiprocessing.active_children() == []
+    assert cnn.blas_info()["threads"] == threads
+
+
+def test_the_fork_warning_about_threads_does_not_escape(small_corpus, cores, monkeypatch):
+    # Python 3.12 and later warn in os.fork when the process runs other
+    # threads; here warnings are errors.  This fork warns before it forks.
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                      "fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    records = small_corpus.records[:4]
+    cores(2)
+    dataset = experiments.prepare_dataset(CorpusManifest(records=records), ["F0", "ZCR"])
+    assert [u.id for u in dataset.utterances] == [r.id for r in records]
+    assert multiprocessing.active_children() == []
 
 
 def test_no_child_outlives_an_interrupted_call(small_corpus, cores, monkeypatch):
@@ -517,7 +560,8 @@ print(cnn.blas_info()["threads"], digest.hexdigest())
 
 
 def test_the_matrices_do_not_depend_on_the_blas_thread_count(small_corpus, tmp_path):
-    # in fresh processes: OpenBLAS reads the variable when numpy loads it
+    # in fresh processes, since OpenBLAS reads the variable when numpy loads
+    # it, with warnings as errors, as here
     manifest = CorpusManifest(records=small_corpus.records[:12])
     corpus.save_manifest(manifest, tmp_path / "m.tsv")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -525,7 +569,8 @@ def test_the_matrices_do_not_depend_on_the_blas_thread_count(small_corpus, tmp_p
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, str(tmp_path / "m.tsv")],
+        out = subprocess.run([sys.executable, "-W", "error", "-c", _DIGEST_SCRIPT,
+                              str(tmp_path / "m.tsv")],
                              env=env, check=True, capture_output=True, text=True,
                              timeout=120)
         reported, digests[threads] = out.stdout.split()
